@@ -166,36 +166,12 @@ def gamma_samples(form: LiouvilleForm2D, n_per_face: int = 14,
             if form.chart_at(x) is None:
                 pts.append(x)
     for c in form.charts:
-        rc = c.ambient_radius()
-        radii = rc * np.array([0.2, 0.5, 0.85][:n_per_branch])
-        if not c.boundary:
-            for l in range(c.m_branches):
-                ang = c.rotation + TWO_PI_L(l, c.m_branches)
-                e = np.array([np.cos(ang), np.sin(ang)])
-                for r in radii:
-                    pts.append(form.wrap(c.center + r * e))
-        else:
-            # branches at chart angles pi l/(m-1) in the collar frame
-            for l in range(c.m_branches):
-                a = np.pi * l / (c.m_branches - 1)
-                for r in radii:
-                    xt, yt = r * np.cos(a), r * np.sin(a)
-                    pts.append(_collar_inverse(c, xt, yt))
+        radii = c.ambient_radius() * np.array([0.2, 0.5, 0.85][:n_per_branch])
+        for turn in c.branch_turns():
+            for r in radii:
+                pts.append(form.wrap(c.chart_to_ambient(np.pi * r * r, turn,
+                                                        form.grid)))
     return np.array(pts)
-
-
-def TWO_PI_L(l: int, m: int) -> float:
-    return 2.0 * np.pi * l / m
-
-
-def _collar_inverse(chart, xt: float, yt: float) -> np.ndarray:
-    """Map collar coordinates back to the plane (boundary charts)."""
-    c = chart.collar_scale
-    th_q = np.arctan2(chart.center[1], chart.center[0])
-    th_d = th_q + 2.0 * np.pi * (xt / c)
-    R_d = chart.disc_R - c * yt
-    r = np.sqrt(max(R_d, 0.0) / np.pi)
-    return r * np.array([np.cos(th_d), np.sin(th_d)])
 
 
 def check_gamma_invariance(form: LiouvilleForm2D, T: float = 20.0,

@@ -14,7 +14,22 @@ import sys
 import numpy as np
 
 from . import checks, divisor_arith as da, grid2d, liouville2d, polar4d, reeb3, svgplot
-from .config import RunConfig, Tolerances, env_seed
+from .config import env_seed
+
+
+class SpecError(ValueError):
+    """A malformed spec on the command line."""
+
+
+def parse_numbers(text: str, kind=float, count: int | None = None) -> list:
+    """The comma-separated numbers of a spec, `count` of them when given."""
+    try:
+        vals = [kind(x) for x in text.split(",")]
+    except ValueError:
+        raise SpecError(f"malformed number list {text!r}") from None
+    if count is not None and len(vals) != count:
+        raise SpecError(f"expected {count} comma-separated numbers, got {text!r}")
+    return vals
 
 
 def parse_grid_spec(spec: str, area: float | None = None) -> grid2d.Grid:
@@ -24,32 +39,35 @@ def parse_grid_spec(spec: str, area: float | None = None) -> grid2d.Grid:
             return grid2d.Grid.from_json(fh.read())
     kind, _, rest = spec.partition(":")
     if kind == "radial":
-        return grid2d.make_radial_grid(int(rest), area if area else 1.0)
+        k, = parse_numbers(rest, int, 1)
+        return grid2d.make_radial_grid(k, area if area else 1.0)
     if kind == "periodic":
-        return grid2d.make_periodic_grid(int(rest))
+        N, = parse_numbers(rest, int, 1)
+        return grid2d.make_periodic_grid(N)
     if kind == "pinwheel":
-        k, _, tw = rest.partition(":")
-        twists = [float(x) for x in tw.split(",")] if tw else [0.0] * int(k)
-        return grid2d.make_pinwheel_grid(int(k), area if area else 1.0, twists)
+        ks, _, tw = rest.partition(":")
+        k, = parse_numbers(ks, int, 1)
+        twists = parse_numbers(tw) if tw else [0.0] * k
+        return grid2d.make_pinwheel_grid(k, area if area else 1.0, twists)
     if kind == "sector":
-        fracs = [float(x) for x in rest.split(",")]
-        return grid2d.make_sector_grid(area if area else 1.0, fracs)
-    raise SystemExit(f"unknown grid spec {spec!r}")
+        return grid2d.make_sector_grid(area if area else 1.0, parse_numbers(rest))
+    raise SpecError(f"unknown grid spec {spec!r}")
 
 
 def parse_surface(spec: str) -> reeb3.StarshapedHypersurface:
     if spec == "sphere":
         return reeb3.StarshapedHypersurface("sphere")
     if spec.startswith("ellipsoid:"):
-        a, b = (float(x) for x in spec.split(":")[1].split(","))
+        a, b = parse_numbers(spec.split(":")[1], float, 2)
         return reeb3.StarshapedHypersurface("ellipsoid", (a, b))
     if spec.startswith("bumped:"):
-        return reeb3.StarshapedHypersurface("bumped", (float(spec.split(":")[1]),))
+        c, = parse_numbers(spec.split(":")[1], float, 1)
+        return reeb3.StarshapedHypersurface("bumped", (c,))
     if spec.endswith(".json"):
         with open(spec) as fh:
             doc = json.load(fh)
         return reeb3.StarshapedHypersurface(doc["kind"], tuple(doc.get("params", ())))
-    raise SystemExit(f"unknown surface spec {spec!r}")
+    raise SpecError(f"unknown surface spec {spec!r}")
 
 
 def write_text(path: str | None, text: str):
@@ -121,7 +139,7 @@ def cmd_liouville(args) -> int:
         }
         write_text(args.out, json.dumps(doc, indent=1, sort_keys=True) + "\n")
         return 0
-    g = parse_grid_spec(args.grid or _form_grid(args.form), args.area)
+    g = parse_grid_spec(args.grid, args.area) if args.grid else _form_grid(args.form)
     form = liouville2d.build_form(g)
     if args.action == "flow":
         rng = np.random.default_rng(args.seed)
@@ -137,17 +155,12 @@ def cmd_liouville(args) -> int:
     raise SystemExit(f"unknown liouville action {args.action}")
 
 
-def _form_grid(form_path: str | None) -> str:
+def _form_grid(form_path: str | None) -> grid2d.Grid:
     if form_path is None:
         raise SystemExit("need --grid or --form")
     with open(form_path) as fh:
         doc = json.load(fh)
-    import tempfile
-
-    tmp = tempfile.NamedTemporaryFile("w", suffix=".json", delete=False)
-    json.dump(doc["grid"], tmp)
-    tmp.close()
-    return tmp.name
+    return grid2d.Grid.from_json(json.dumps(doc["grid"]))
 
 
 def cmd_polar4(args) -> int:
@@ -184,7 +197,7 @@ def cmd_polar4(args) -> int:
 
 def cmd_sdb(args) -> int:
     m = polar4d.ModelDiscBundle(args.c1, args.area)
-    b1, b2, R, th = (float(x) for x in args.probe.split(","))
+    b1, b2, R, th = parse_numbers(args.probe, float, 4)
     W, lam, X = m.eval([b1, b2, R, th])
     print(f"fiber capacity A/c1 = {m.fiber_capacity:g}")
     print("omega0 =")
@@ -231,7 +244,8 @@ def cmd_reeb(args) -> int:
         source = _load_knot(S, args.source)
         targets = [source]
         if args.target.startswith("barrier:"):
-            targets += reeb3.legendrian_graph(S, int(args.target.split(":")[1]))
+            k, = parse_numbers(args.target.split(":")[1], int, 1)
+            targets += reeb3.legendrian_graph(S, k)
         elif args.target != "self":
             targets += [_load_knot(S, args.target)]
         lines = ["direction,start_param,T,distance,transversal"]
@@ -260,7 +274,7 @@ def _load_knot(S, spec: str) -> reeb3.LegendrianCurve:
     if spec == "great-circle":
         return reeb3.legendrian_great_circle(S)
     if spec.startswith("torus:"):
-        p, q = (int(x) for x in spec.split(":")[1].split(","))
+        p, q = parse_numbers(spec.split(":")[1], int, 2)
         return reeb3.legendrian_torus_knot(S, p, q)
     if spec == "lift":
         return reeb3.legendrian_lift(S)
@@ -271,7 +285,7 @@ def _load_knot(S, spec: str) -> reeb3.LegendrianCurve:
                                      np.array(doc["points"]),
                                      closed=bool(doc.get("closed", True)),
                                      surface=S)
-    raise SystemExit(f"unknown knot spec {spec!r}")
+    raise SpecError(f"unknown knot spec {spec!r}")
 
 
 def cmd_check_all(args) -> int:
@@ -301,17 +315,17 @@ def cmd_plot(args) -> int:
                                          gamma_margin=0.0)
         sc = svgplot.draw_trajectories(form, [form.flow(x, 20.0) for x in pts])
     elif args.scene.startswith("bands:"):
-        m, n = (int(x) for x in args.scene.split(":")[1].split(","))
+        m, n = parse_numbers(args.scene.split(":")[1], int, 2)
         K, cert = da.monotone_K(m, n, args.a, args.b)
         sc = svgplot.draw_band_diagram(m, n, K, cert.assignment, args.a, args.b)
     elif args.scene.startswith("hopf:"):
-        k = int(args.scene.split(":")[1])
+        k, = parse_numbers(args.scene.split(":")[1], int, 1)
         S = reeb3.StarshapedHypersurface("sphere")
         paths = [reeb3._lune_boundary(S, k, j) for j in range(k)]
         areas = [abs(reeb3.spherical_polygon_area(p)) for p in paths]
         sc = svgplot.draw_hopf(k, paths, areas)
     else:
-        raise SystemExit(f"unknown scene {args.scene!r}")
+        raise SpecError(f"unknown scene {args.scene!r}")
     write_text(args.out, sc.render())
     return 0
 
@@ -416,7 +430,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (grid2d.GridError, liouville2d.FoliationError,
+    except (SpecError, grid2d.GridError, liouville2d.FoliationError,
             liouville2d.DomainError, da.DivisorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

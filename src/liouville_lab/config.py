@@ -1,13 +1,14 @@
 """Central tolerance/configuration layer.
 
-Every numeric tolerance used by the toolkit lives here with its default, so a
-single config object can be threaded through the CLI and overridden per run.
+Every numeric tolerance used by the toolkit lives here with its default;
+`dataclasses.replace(DEFAULTS, ...)` gives a variant to pass to a builder or
+check.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 DEFAULT_SEED = 7
 
@@ -23,10 +24,7 @@ def env_seed() -> int:
 class Tolerances:
     """Documented numeric defaults.
 
-    area_partition   : relative error allowed in sum(face areas) = A
-    angular_kink     : tangent-continuity tolerance along an arc polyline [rad]
     regular_sector   : sector-angle deviation accepted by the regularity check [rad]
-    on_grid_band     : half-width of the "point lies on the grid" band [area units]
     grid_band_geom   : geometric distance used when classifying flow endpoints
                        against the skeleton
     closedness_rel   : relative error allowed in finite-difference dlambda vs omega
@@ -40,14 +38,9 @@ class Tolerances:
     gamma_invariance : allowed drift of skeleton points under the flow, |t|<=20
     chord_tol        : ambient distance at which a Reeb chord is accepted
     chord_t_min      : shortest admissible chord time (filters t->0 junk)
-    legendrian_defect: max |alpha(c')| for accepted Legendrian curves
-    hopf_identity    : tolerance on the period-1 Reeb return map of the round sphere
     """
 
-    area_partition: float = 1e-6
-    angular_kink: float = 1e-3
     regular_sector: float = 1e-3
-    on_grid_band: float = 1e-9
     grid_band_geom: float = 1e-3
     closedness_rel: float = 1e-4
     fd_step: float = 1e-5
@@ -59,30 +52,7 @@ class Tolerances:
     gamma_invariance: float = 1e-3
     chord_tol: float = 1e-5
     chord_t_min: float = 1e-3
-    legendrian_defect: float = 1e-9
-    hopf_identity: float = 1e-9
-
-    def override(self, **kwargs) -> "Tolerances":
-        return replace(self, **kwargs)
 
 
 DEFAULTS = Tolerances()
 
-
-@dataclass
-class RunConfig:
-    """One CLI invocation: subcommand, inputs, tolerances, outputs."""
-
-    subcommand: str
-    inputs: dict = field(default_factory=dict)
-    tolerances: Tolerances = DEFAULTS
-    seed: int = field(default_factory=env_seed)
-    seeds: int = 256
-    t_max: float = 20.0
-    out: str | None = None
-
-    def __post_init__(self):
-        if self.seeds <= 0:
-            raise ValueError("seed count must be positive")
-        if self.t_max <= 0:
-            raise ValueError("t_max must be positive")

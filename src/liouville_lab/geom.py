@@ -20,41 +20,15 @@ def perp(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def cross2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+def min_image(v, N: float):
+    """Offset v wrapped to its minimum image on the N-periodic square."""
+    return np.mod(v + 0.5 * N, N) - 0.5 * N
 
 
 def shoelace_area(poly: np.ndarray) -> float:
     """Signed area of a closed polygon given by its vertex list (no repeat)."""
     x, y = poly[:, 0], poly[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
-def area_radius(R: np.ndarray | float) -> np.ndarray | float:
-    """Euclidean radius of the circle enclosing symplectic area R."""
-    return np.sqrt(np.asarray(R) / np.pi)
-
-
-def area_coord(r: np.ndarray | float) -> np.ndarray | float:
-    """Symplectic area R = pi r^2 of the circle with Euclidean radius r."""
-    return np.pi * np.asarray(r) ** 2
-
-
-def angle01(v: np.ndarray) -> np.ndarray:
-    """Angle of v in turns, in [0, 1)."""
-    a = np.arctan2(v[..., 1], v[..., 0]) / TWO_PI
-    return np.mod(a, 1.0)
-
-
-def unwrap_increasing(phi: np.ndarray) -> np.ndarray:
-    """Lift angles (in turns) to a strictly increasing sequence, or raise."""
-    out = np.array(phi, dtype=float)
-    for i in range(1, len(out)):
-        while out[i] <= out[i - 1]:
-            out[i] += 1.0
-    if out[-1] - out[0] >= 2.0:
-        raise ValueError("angles wind more than once")
-    return out
 
 
 def polyline_segments(polylines) -> tuple:
@@ -75,40 +49,6 @@ def segments_distance(p: np.ndarray, segs: tuple) -> np.ndarray:
     t = np.clip(np.einsum("...nd,nd->...n", p - a, ab) / denom, 0.0, 1.0)
     proj = a + t[..., None] * ab
     return np.min(np.linalg.norm(p - proj, axis=-1), axis=-1)
-
-
-def polyline_distance(p: np.ndarray, pts: np.ndarray) -> float:
-    """Exact distance from a single point to a polyline (pts shape (n, 2|4))."""
-    return float(segments_distance(p, polyline_segments([pts])))
-
-
-def pchip_slopes(h: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Monotone (Fritsch-Carlson) slopes for periodic data.
-
-    h[i] is the knot spacing of interval i, delta[i] its secant. The arrays are
-    treated cyclically; slope i belongs to the knot between intervals i-1 and i.
-    """
-    n = len(h)
-    d = np.zeros(n)
-    for i in range(n):
-        hm, hp = h[i - 1], h[i]
-        dm, dp = delta[i - 1], delta[i]
-        if dm * dp <= 0.0:
-            d[i] = 0.0
-        else:
-            w1 = 2.0 * hp + hm
-            w2 = hp + 2.0 * hm
-            d[i] = (w1 + w2) / (w1 / dm + w2 / dp)
-    return d
-
-
-def hermite_coeffs(x0, x1, y0, y1, d0, d1) -> np.ndarray:
-    """Coefficients (highest first) of the cubic Hermite piece on [x0, x1]
-    expressed in the local variable s = x - x0."""
-    h = x1 - x0
-    c3 = (2 * (y0 - y1) + h * (d0 + d1)) / h**3
-    c2 = (3 * (y1 - y0) - h * (2 * d0 + d1)) / h**2
-    return np.array([c3, c2, d0, y0])
 
 
 def gauss_legendre(n: int):

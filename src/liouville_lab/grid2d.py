@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULTS
-from .geom import (TWO_PI, polyline_distance, polyline_segments,
-                   segments_distance, shoelace_area)
+from .geom import TWO_PI, polyline_segments, segments_distance, shoelace_area
 
 ARC_RESOLUTION = 256  # default samples per arc
 
@@ -193,12 +192,6 @@ class Grid:
         rs = [np.max(np.linalg.norm(a.points, axis=1)) for a in self.arcs]
         return float(max(rs))
 
-    def on_grid(self, x, band: float | None = None) -> bool:
-        """Point-on-grid classification with the configured tolerance band."""
-        band = DEFAULTS.on_grid_band if band is None else band
-        geom_band = np.sqrt(band / np.pi)  # area-units band -> radius
-        return self.grid_distance(x) < geom_band
-
     def grid_distance(self, x) -> float:
         x = np.asarray(x, dtype=float)
         if self.periodic:
@@ -209,9 +202,6 @@ class Grid:
                                   for dy in (-1.0, 0.0, 1.0)])
             return float(np.min(segments_distance(x, self._segments)))
         return float(segments_distance(x, self._segments))
-
-    def arc_points_all(self) -> np.ndarray:
-        return np.vstack([a.points for a in self.arcs])
 
     # -- io ------------------------------------------------------------------
     def to_json(self) -> str:
@@ -284,7 +274,8 @@ def interior_point(poly: np.ndarray) -> np.ndarray:
         for gy in np.linspace(lo[1], hi[1], 24)[1:-1]:
             cand = np.array([gx, gy])
             if point_in_polygon(cand, poly):
-                d = polyline_distance(cand, np.vstack([poly, poly[:1]]))
+                d = float(segments_distance(
+                    cand, polyline_segments([np.vstack([poly, poly[:1]])])))
                 if d > best_d:
                     best, best_d = cand, d
     if best is None:

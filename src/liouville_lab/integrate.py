@@ -39,7 +39,9 @@ def rk45(f, x0, s_end, atol=1e-9, rtol=1e-9, stop=None, max_step=np.inf,
 
     stop(x) > 0 means keep going; the first sign change is localized by
     bisection on the continuous extension of the step that crosses it, and
-    integration halts there. Returns (s, x, stopped).
+    integration halts there. A field that raises ValueError (such as a
+    DomainError) or ArithmeticError at a trial point halves the step; any
+    other exception propagates. Returns (s, x, stopped).
     """
     x = np.array(x0, dtype=float)
     s = 0.0
@@ -58,7 +60,7 @@ def rk45(f, x0, s_end, atol=1e-9, rtol=1e-9, stop=None, max_step=np.inf,
                 xi += h * a * ks[j]
             try:
                 ks.append(np.asarray(f(xi), dtype=float))
-            except Exception:
+            except (ValueError, ArithmeticError):
                 ok = False
                 break
         if not ok:

@@ -32,7 +32,8 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .config import DEFAULTS, Tolerances
-from .geom import TWO_PI, perp, polyline_distance
+from .geom import (TWO_PI, min_image, perp, polyline_segments,
+                   segments_distance)
 from .grid2d import Grid, validate_regular
 from .integrate import rk45
 
@@ -144,10 +145,13 @@ class FaceChart:
             return np.zeros(2)
         return ((t * t - 1.0) / (2.0 * t * t)) * (x - self.p)
 
-    def adapted_R(self, x: np.ndarray) -> float:
-        """Darboux radial coordinate R~ = a t^2 at x."""
-        _, t = self.labels(x)
-        return self.area * t * t
+    def betas(self) -> np.ndarray:
+        """Boundary-action fractions between consecutive singular vertices."""
+        th = [t for (_, t) in self.vertex_thetas]
+        if not th:
+            return np.array([1.0])
+        th = np.sort(np.array(th))
+        return np.diff(np.concatenate([th, [th[0] + 1.0]]))
 
 
 def _build_face_chart(grid: Grid, face: int, singular_ids: set,
@@ -318,12 +322,12 @@ class VertexChart:
 
     # -- chart coordinates ----------------------------------------------------
     def chart_coords(self, x: np.ndarray, grid: Grid) -> tuple:
-        """(R, theta, frame) of x; frame caches data for push-forward."""
+        """(R, theta, s) of x, s the chart's Cartesian position: the offset
+        from the vertex, or the collar coordinates at a boundary vertex."""
         if not self.boundary:
             xi = x - self.center
             if grid.periodic:
-                N = grid.period
-                xi = np.mod(xi + 0.5 * N, N) - 0.5 * N
+                xi = min_image(xi, grid.period)
             R = np.pi * float(xi @ xi)
             th = np.mod(np.arctan2(xi[1], xi[0]) - self.rotation, TWO_PI) / TWO_PI
             return R, th, xi
@@ -336,7 +340,7 @@ class VertexChart:
         yt = (self.disc_R - R_d) / c
         R = np.pi * (xt * xt + yt * yt)
         th = np.mod(np.arctan2(yt, xt), TWO_PI) / TWO_PI
-        return R, th, (xt, yt)
+        return R, th, np.array([xt, yt])
 
     def ambient_radius(self) -> float:
         return float(np.sqrt(self.R_max / np.pi))
@@ -347,58 +351,34 @@ class VertexChart:
         boundary ray, so integration overshoots stay well defined."""
         v = np.asarray(x, dtype=float) - self.center
         if grid.periodic:
-            N = grid.period
-            v = np.mod(v + 0.5 * N, N) - 0.5 * N
+            v = min_image(v, grid.period)
         return float(v @ v) < self.R_max / np.pi
 
     # -- model form and field ---------------------------------------------
-    def _model(self, R: float, th: float) -> tuple:
+    def model_field(self, R: float, th: float) -> np.ndarray:
+        """(R-dot, theta-dot) of the model field in chart coordinates; the
+        model form is R-dot dtheta - theta-dot dR."""
         m = self.mult
-        chi = self.chi(R)
-        dchi = self.chi_prime(R)
         ang = TWO_PI * m * th
-        f_R = R - chi * np.cos(ang)          # dtheta coefficient
-        f_th = -(dchi / (TWO_PI * m)) * np.sin(ang)  # dR coefficient
-        return f_R, f_th
+        return np.array([R - self.chi(R) * np.cos(ang),
+                         self.chi_prime(R) * np.sin(ang) / (TWO_PI * m)])
 
     def lam(self, x: np.ndarray, grid: Grid) -> np.ndarray:
-        R, th, frame = self.chart_coords(x, grid)
-        a_th, a_R = self._model(R, th)
-        if not self.boundary:
-            xi = frame
-            r2 = float(xi @ xi)
-            if r2 == 0.0:
-                return np.zeros(2)
-            dth = perp(xi) / (TWO_PI * r2)   # covector of dtheta
-            dR = TWO_PI * xi                 # covector of dR
-            return a_th * dth + a_R * dR
-        xt, yt = frame
-        s = np.array([xt, yt])
+        R, th, s = self.chart_coords(x, grid)
         r2 = float(s @ s)
         if r2 == 0.0:
             return np.zeros(2)
-        lam_t = a_th * perp(s) / (TWO_PI * r2) + a_R * TWO_PI * s
-        return self._pullback_covector(x, lam_t)
+        vR, vth = self.model_field(R, th)
+        lam = vR * perp(s) / (TWO_PI * r2) - vth * TWO_PI * s
+        return self._pullback_covector(x, lam) if self.boundary else lam
 
     def X(self, x: np.ndarray, grid: Grid) -> np.ndarray:
-        R, th, frame = self.chart_coords(x, grid)
-        m = self.mult
-        chi = self.chi(R)
-        dchi = self.chi_prime(R)
-        ang = TWO_PI * m * th
-        vR = R - chi * np.cos(ang)
-        vth = (dchi / (TWO_PI * m)) * np.sin(ang)
-        if not self.boundary:
-            xi = frame
-            if R <= 0.0:
-                return np.zeros(2)
-            return vR * xi / (2.0 * R) + vth * TWO_PI * perp(xi)
-        xt, yt = frame
-        s = np.array([xt, yt])
+        R, th, s = self.chart_coords(x, grid)
         if R <= 0.0:
             return np.zeros(2)
+        vR, vth = self.model_field(R, th)
         w = vR * s / (2.0 * R) + vth * TWO_PI * perp(s)
-        return self._pushforward_vector(x, w)
+        return self._pushforward_vector(x, w) if self.boundary else w
 
     # collar chart differential: xdot_t = c * (perp(x).w) / (2 pi |x|^2),
     # ydot_t = -2 pi (x.w) / c ; both exact for the linear collar map.
@@ -444,30 +424,6 @@ class VertexChart:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class Foliation:
-    """Vanishing foliation: leaf maps per face plus vertex local models."""
-
-    faces: list
-    charts: list
-    singular_ids: set
-
-    def face(self, i: int) -> FaceChart:
-        return self.faces[i]
-
-    def betas(self, i: int) -> np.ndarray:
-        """Boundary-action fractions between consecutive singular vertices."""
-        th = [t for (_, t) in self.faces[i].vertex_thetas]
-        if not th:
-            return np.array([1.0])
-        th = np.sort(np.array(th))
-        return np.diff(np.concatenate([th, [th[0] + 1.0]]))
-
-    def thetas(self, i: int) -> np.ndarray:
-        th = [t for (_, t) in self.faces[i].vertex_thetas]
-        return np.sort(np.array(th)) if th else np.array([0.0])
-
-
-@dataclass
 class Trajectory:
     points: list                 # (s, x, y) samples
     classification: str          # "converged" | "skeleton" | "undecided"
@@ -499,7 +455,6 @@ class LiouvilleForm2D:
         faces = [_build_face_chart(grid, i, singular, vertex_pos)
                  for i in range(grid.n_faces)]
         charts = _build_vertex_charts(grid, cert, singular)
-        self.fol = Foliation(faces, charts, singular)
         self.faces = faces
         self.charts = charts
         self._chart_centers = np.array([c.center for c in charts]).reshape(-1, 2)
@@ -517,8 +472,8 @@ class LiouvilleForm2D:
         return x
 
     def chart_at(self, x: np.ndarray) -> VertexChart | None:
-        if not self.smoothing:
-            return None
+        """The vertex chart whose ball contains x. Before smoothing the form
+        is not defined there."""
         x = np.asarray(x, dtype=float)
         for c in self.charts:
             if c.contains(x, self.grid):
@@ -533,7 +488,7 @@ class LiouvilleForm2D:
             xw = np.mod(x, N)
             i, j = int(min(xw[0], N - 1e-12)), int(min(xw[1], N - 1e-12))
             fc = self.faces[j * int(N) + i]
-            q = fc.p + (np.mod(xw - fc.p + 0.5 * N, N) - 0.5 * N)
+            q = fc.p + min_image(xw - fc.p, N)
             th, t = fc.labels(q)
             return fc.face, th, t
         best = None
@@ -548,11 +503,9 @@ class LiouvilleForm2D:
     # -- evaluators ------------------------------------------------------------
     def eval_lambda(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        c = self.chart_at(x)
+        c = self._smoothed_chart_at(x)
         if c is not None:
-            return c.lam(self.wrap(x) if self.grid.periodic else x, self.grid)
-        if not self.smoothing and self._near_singular_vertex(x):
-            raise DomainError("evaluation at a singular vertex before smoothing")
+            return c.lam(self.wrap(x), self.grid)
         i, th, t = self.face_at(x)
         fc = self.faces[i]
         xx = self._face_local(fc, x)
@@ -562,26 +515,23 @@ class LiouvilleForm2D:
 
     def eval_X(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        c = self.chart_at(x)
+        c = self._smoothed_chart_at(x)
         if c is not None:
-            return c.X(self.wrap(x) if self.grid.periodic else x, self.grid)
-        if not self.smoothing and self._near_singular_vertex(x):
-            raise DomainError("evaluation at a singular vertex before smoothing")
+            return c.X(self.wrap(x), self.grid)
         i, th, t = self.face_at(x)
         fc = self.faces[i]
         return fc.X(self._face_local(fc, x))
 
     def _face_local(self, fc: FaceChart, x: np.ndarray) -> np.ndarray:
         if self.grid.periodic:
-            N = self.grid.period
-            return fc.p + (np.mod(np.asarray(x) - fc.p + 0.5 * N, N) - 0.5 * N)
+            return fc.p + min_image(np.asarray(x) - fc.p, self.grid.period)
         return np.asarray(x, dtype=float)
 
-    def _near_singular_vertex(self, x) -> bool:
-        for c in self.charts:
-            if c.contains(np.asarray(x, dtype=float), self.grid):
-                return True
-        return False
+    def _smoothed_chart_at(self, x) -> VertexChart | None:
+        c = self.chart_at(x)
+        if c is not None and not self.smoothing:
+            raise DomainError("evaluation at a singular vertex before smoothing")
+        return c
 
     def residue_loop_integral(self, face: int, rho: float, n: int = 512) -> float:
         """Quadrature of the loop integral of lambda on {R~ = rho} around p."""
@@ -589,8 +539,7 @@ class LiouvilleForm2D:
         if rho <= 0 or rho >= fc.area:
             raise DomainError("rho must be inside the face chart")
         t = np.sqrt(rho / fc.area)
-        lo, hi = self._leaf_clearance(fc)
-        if t >= lo:
+        if t >= self._leaf_clearance(fc):
             raise DomainError("loop leaves the marked-point chart")
         thetas = (np.arange(n) + 0.5) / n
         total = 0.0
@@ -600,24 +549,23 @@ class LiouvilleForm2D:
             total += float(fc.lam(x) @ dx)
         return total / n
 
-    def _leaf_clearance(self, fc: FaceChart) -> tuple:
+    def _leaf_clearance(self, fc: FaceChart) -> float:
         """Largest t0 such that every leaf point with t < t0 avoids all charts."""
         if not self.charts:
-            return 1.0, 1.0
+            return 1.0
         d = np.linalg.norm(self._chart_vec(fc.p), axis=1)
         clear = float(np.min(d - 1.02 * self._chart_radii))
-        t0 = max(0.0, min(1.0, clear / self._max_rb(fc)))
-        return t0, t0
+        return max(0.0, min(1.0, clear / self._max_rb(fc)))
 
     def _max_rb(self, fc: FaceChart) -> float:
-        # PCHIP pieces are monotone between knots, so knot values bound r
+        # largest knot value of r; the not-a-knot pieces stay below it
+        # between knots on the radial, pinwheel and periodic grids
         return float(np.max(fc.r_coef[:, 0]))
 
     def _chart_vec(self, x: np.ndarray) -> np.ndarray:
         v = self._chart_centers - np.asarray(x)[None, :]
         if self.grid.periodic and len(v):
-            N = self.grid.period
-            v = np.mod(v + 0.5 * N, N) - 0.5 * N
+            v = min_image(v, self.grid.period)
         return v
 
     # -- flow ------------------------------------------------------------------
@@ -631,7 +579,7 @@ class LiouvilleForm2D:
         conv_t = np.sqrt(self.tol.convergence_R)
         while s < t_max and guard < 400:
             guard += 1
-            c = self.chart_at(x)
+            c = self.chart_at(x) if self.smoothing else None
             if c is not None:
                 s, x, exited = self._chart_leg(c, x, s, t_max, direction, pts)
                 if not exited and s < t_max:
@@ -655,8 +603,7 @@ class LiouvilleForm2D:
                 s, x, done = self._face_leg_backward(fc, xloc, th, t, s, t_max, pts)
                 if done is not None:
                     return done
-            if self.grid.periodic:
-                x = self.wrap(x)
+            x = self.wrap(x)
         try:
             i, th, t = self.face_at(x, band=1e-5)
         except DomainError:
@@ -756,27 +703,18 @@ class LiouvilleForm2D:
         """
         budget = t_max - s
         rc = chart.ambient_radius()
-        m = chart.mult
         grid = self.grid
         R0, th0, _ = chart.chart_coords(x, grid)
         state0 = np.array([R0, th0])
 
         def f(y):
-            R = max(float(y[0]), 0.0)
-            ang = TWO_PI * m * y[1]
-            chi = chart.chi(R)
-            dchi = chart.chi_prime(R)
-            return direction * np.array([
-                R - chi * np.cos(ang),
-                dchi * np.sin(ang) / (TWO_PI * m),
-            ])
+            return direction * chart.model_field(max(float(y[0]), 0.0), y[1])
 
         def stop(y):
             xa = chart.chart_to_ambient(y[0], y[1], grid)
             v = xa - chart.center
             if grid.periodic:
-                N = grid.period
-                v = np.mod(v + 0.5 * N, N) - 0.5 * N
+                v = min_image(v, grid.period)
             return rc * (1.0 + 1e-7) - float(np.hypot(v[0], v[1]))
 
         trail = []
@@ -788,23 +726,13 @@ class LiouvilleForm2D:
                                   rtol=1e-10, stop=stop, max_step=0.5,
                                   record=record)
         for si, yi in trail[-40:]:
-            xa = chart.chart_to_ambient(yi[0], yi[1], grid)
-            xa = self.wrap(xa) if grid.periodic else xa
+            xa = self.wrap(chart.chart_to_ambient(yi[0], yi[1], grid))
             pts.append((si, float(xa[0]), float(xa[1])))
         s_new = s + ds
-        x_new = chart.chart_to_ambient(y_new[0], y_new[1], grid)
-        if grid.periodic:
-            x_new = self.wrap(x_new)
+        x_new = self.wrap(chart.chart_to_ambient(y_new[0], y_new[1], grid))
         if not trail:
             pts.append((s_new, float(x_new[0]), float(x_new[1])))
         return s_new, x_new, stopped
-
-    # -- batch classification ----------------------------------------------
-    def classify_points(self, points: np.ndarray, t_max: float = 20.0) -> list:
-        out = []
-        for x in points:
-            out.append(self.flow(x, t_max, direction=1))
-        return out
 
 
 def _build_vertex_charts(grid: Grid, cert, singular: set) -> list:
@@ -879,8 +807,7 @@ def _chart_reach(grid: Grid, vi: int, marked) -> float:
     def dist(a, b):
         d = a - b
         if grid.periodic:
-            N = grid.period
-            d = np.mod(d + 0.5 * N, N) - 0.5 * N
+            d = min_image(d, grid.period)
         return float(np.hypot(d[0], d[1]))
 
     arc_reach = np.inf
@@ -894,7 +821,7 @@ def _chart_reach(grid: Grid, vi: int, marked) -> float:
             if grid.periodic:
                 dmin = min(dist(p, v.xy) for p in a.points[:: max(1, len(a.points) // 16)])
             else:
-                dmin = polyline_distance(v.xy, a.points)
+                dmin = float(segments_distance(v.xy, polyline_segments([a.points])))
             other_arc = min(other_arc, dmin)
     vert = min((dist(w.xy, v.xy) for j, w in enumerate(grid.vertices) if j != vi
                 and dist(w.xy, v.xy) > 1e-12), default=np.inf)
@@ -909,26 +836,6 @@ def _chart_reach(grid: Grid, vi: int, marked) -> float:
 def build_form(grid: Grid, tol: Tolerances = DEFAULTS,
                smoothing: bool = True) -> LiouvilleForm2D:
     return LiouvilleForm2D(grid, tol, smoothing)
-
-
-def build_foliation(grid: Grid, tol: Tolerances = DEFAULTS) -> Foliation:
-    return LiouvilleForm2D(grid, tol).fol
-
-
-def eval_lambda(form: LiouvilleForm2D, point) -> np.ndarray:
-    return form.eval_lambda(point)
-
-
-def eval_X(form: LiouvilleForm2D, point) -> np.ndarray:
-    return form.eval_X(point)
-
-
-def flow(form: LiouvilleForm2D, start, t_max: float, direction: int = 1) -> Trajectory:
-    return form.flow(start, t_max, direction)
-
-
-def residue_loop_integral(form: LiouvilleForm2D, face: int, rho: float) -> float:
-    return form.residue_loop_integral(face, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -957,8 +864,7 @@ class SplitForm2D:
         self.a1, self.a2 = float(a1), float(a2)
         self.fc = fc
         # the split disc lives in the leaf chart, clear of all vertex charts
-        lo, _ = base._leaf_clearance(fc)
-        t_split = min(np.sqrt(split_R_frac), 0.6 * lo)
+        t_split = min(np.sqrt(split_R_frac), 0.6 * base._leaf_clearance(fc))
         if t_split <= 0.05:
             raise ValueError("no room for the split disc in this face")
         rb_min = float(np.min(fc.r_coef[:, 0]))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import DEFAULTS, Tolerances
 from .geom import gauss_legendre
-from .liouville2d import LiouvilleForm2D, Trajectory
+from .liouville2d import LiouvilleForm2D
 
 
 @dataclass
@@ -43,7 +43,6 @@ class ProductPolarization:
             [Component4("vertical", i, fc.area) for i, fc in enumerate(form_A.faces)]
             + [Component4("horizontal", j, fc.area) for j, fc in enumerate(form_B.faces)]
         )
-        self.extendable = True  # product polarizations extend to larger discs
 
     @staticmethod
     def split(point4) -> tuple:
@@ -96,10 +95,6 @@ class ProductPolarization:
         XA = self.fA.eval_X(x)
         n = x / np.linalg.norm(x)
         return float(XA @ n)
-
-
-def product_polarization(form_A: LiouvilleForm2D, form_B: LiouvilleForm2D) -> ProductPolarization:
-    return ProductPolarization(form_A, form_B)
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +161,3 @@ class ModelDiscBundle:
             val += float(lam @ np.array([0.0, 0.0, 0.0, 1.0])) / n
         return val
 
-
-def eval_sdb(bundle: ModelDiscBundle, point) -> tuple:
-    return bundle.eval(point)

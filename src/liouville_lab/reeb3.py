@@ -16,7 +16,7 @@ Points are (x1, y1, x2, y2); complex views are (z1, z2) = (x1+iy1, x2+iy2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -138,8 +138,9 @@ class StarshapedHypersurface:
     def has_closed_form_flow(self) -> bool:
         return self.kind in ("sphere", "ellipsoid")
 
-    def flow(self, z: np.ndarray, t) -> np.ndarray:
-        """Reeb flow; closed form on spheres and ellipsoids, RK otherwise.
+    def flow(self, z: np.ndarray, t, atol: float = 1e-12) -> np.ndarray:
+        """Reeb flow; closed form on spheres and ellipsoids, otherwise RK
+        per point at tolerance atol.
 
         t may be a scalar or an array broadcast against leading axes of z.
         """
@@ -156,22 +157,10 @@ class StarshapedHypersurface:
             out[..., 0] = w[..., 0] * np.exp(2j * np.pi * t / a)
             out[..., 1] = w[..., 1] * np.exp(2j * np.pi * t / b)
             return from_complex(out)
-        return self._flow_numeric(z, t)
-
-    def _flow_numeric(self, z: np.ndarray, t) -> np.ndarray:
-        flat = np.atleast_2d(z.reshape(-1, 4))
-        ts = np.broadcast_to(np.asarray(t, dtype=float), flat.shape[:1]) \
-            if np.ndim(t) else np.full(len(flat), float(t))
-        out = np.empty_like(flat)
-        for i, (zz, tt) in enumerate(zip(flat, ts)):
-            sgn = 1.0 if tt >= 0 else -1.0
-
-            def f(y):
-                return sgn * self.reeb(y)
-
-            _, y, _ = rk45(f, zz, abs(float(tt)), atol=1e-12, rtol=1e-12)
-            out[i] = y
-        return out.reshape(np.shape(z))
+        ts = np.broadcast_to(t, z.shape[:-1]).reshape(-1)
+        out = [self.flow_numeric_single(zz, float(tt), atol)
+               for zz, tt in zip(z.reshape(-1, 4), ts)]
+        return np.reshape(out, z.shape)
 
     def flow_numeric_single(self, z: np.ndarray, t: float,
                             atol: float = 1e-12) -> np.ndarray:
@@ -602,9 +591,7 @@ def chord_search(S: StarshapedHypersurface, source: LegendrianCurve,
             if not (tol.chord_t_min * 0.5 <= tt <= T_max * 1.001):
                 return 1.0 + abs(tt)
             zz = _curve_point(source, s_par)
-            end = (S.flow(zz, sgn * tt) if S.has_closed_form_flow()
-                   else S.flow_numeric_single(zz, sgn * tt, atol=1e-11))
-            return dist(end)
+            return dist(S.flow(zz, sgn * tt, atol=1e-11))
 
         # deterministic local zoom (robust on V-shaped wells), then a polish
         bs, bt = s0, t0
@@ -631,8 +618,7 @@ def chord_search(S: StarshapedHypersurface, source: LegendrianCurve,
             if not (0 < T <= T_max * (1.0 + 1e-6)):
                 continue
             z0 = _curve_point(source, s_par)
-            z1 = (S.flow(z0, sgn * T) if S.has_closed_form_flow()
-                  else S.flow_numeric_single(z0, sgn * T, atol=1e-11))
+            z1 = S.flow(z0, sgn * T, atol=1e-11)
             dup = any(abs(c.T - T) < 5e-3 and
                       np.linalg.norm(c.start_point - z0) < 5e-2 for c in found)
             if not dup:
@@ -716,9 +702,7 @@ def mohnke_torus(S: StarshapedHypersurface, knot: LegendrianCurve, T: float,
 
     pts = np.empty((n_knot, n_gamma, 4))
     for ig in range(n_gamma):
-        moved = (S.flow(base, tts[ig]) if S.has_closed_form_flow()
-                 else np.stack([S.flow_numeric_single(b, tts[ig]) for b in base]))
-        pts[:, ig, :] = np.sqrt(taus[ig]) * moved
+        pts[:, ig, :] = np.sqrt(taus[ig]) * S.flow(base, tts[ig])
 
     # generator actions by quadrature of alpha_st over the two embedded loops
     knot_loop = pts[:, 0, :]

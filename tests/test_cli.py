@@ -1,10 +1,14 @@
 """CLI surfaces: formats, determinism, exit codes."""
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+from liouville_lab import cli
 
 RUN = [sys.executable, "-m", "liouville_lab.cli"]
 
@@ -52,6 +56,35 @@ def test_malformed_grid_file_is_exit_2(tmp_path):
     assert "error" in r.stderr.lower()
 
 
+@pytest.mark.parametrize("args", [
+    ("grid", "info", "radial:x"),
+    ("grid", "info", "pinwheel:3:0.1,abc"),
+    ("reeb", "chords", "--surface", "ellipsoid:0.9"),
+    ("reeb", "chords", "--source", "torus:1"),
+    ("polar4", "sdb", "--probe", "1,2"),
+])
+def test_malformed_spec_is_exit_2(args):
+    r = run_cli(*args)
+    assert r.returncode == 2, r.stderr
+    assert "error" in r.stderr.lower()
+    assert "Traceback" not in r.stderr
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines
+                if line.startswith("liouville-lab ")]
+    assert len(commands) >= 10
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+
+
 def test_liouville_build_and_flow_csv(tmp_path):
     form = tmp_path / "form.json"
     r = run_cli("liouville", "build", "--grid", "radial:3", "--out", str(form))
@@ -68,6 +101,19 @@ def test_liouville_build_and_flow_csv(tmp_path):
     assert lines[0] == "seed_id,t,x,y,classification"
     assert len(lines) > 8
     assert all(line.count(",") == 4 for line in lines[1:])
+
+
+def test_flow_from_form_file_leaves_no_temp_files(tmp_path):
+    form = tmp_path / "form.json"
+    r = run_cli("liouville", "build", "--grid", "radial:3", "--out", str(form))
+    assert r.returncode == 0
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    r2 = run_cli("liouville", "flow", "--form", str(form), "--seeds", "4",
+                 "--tmax", "5", "--csv", str(tmp_path / "flow.csv"),
+                 env={"TMPDIR": str(tmp)})
+    assert r2.returncode == 0, r2.stderr
+    assert list(tmp.iterdir()) == []
 
 
 def test_flow_csv_deterministic(tmp_path):

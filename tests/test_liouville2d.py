@@ -1,4 +1,4 @@
-"""Foliation construction, evaluators, residues, flows, splitting."""
+"""Face charts, evaluators, residues, flows, splitting."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,10 @@ from liouville_lab.checks import (check_backward_complete, check_basin,
                                   check_gamma_invariance, gamma_samples,
                                   sample_off_singular)
 from liouville_lab.geom import shoelace_area
-from liouville_lab.grid2d import make_radial_grid, make_sector_grid
-from liouville_lab.liouville2d import (DomainError, FoliationError,
-                                       build_foliation, build_form,
+from liouville_lab.grid2d import (make_pinwheel_grid, make_radial_grid,
+                                  make_sector_grid)
+from liouville_lab.integrate import rk45
+from liouville_lab.liouville2d import (DomainError, FoliationError, build_form,
                                        split_weights)
 
 
@@ -19,7 +20,6 @@ from liouville_lab.liouville2d import (DomainError, FoliationError,
 
 def test_radial_foliation_is_radial_with_bisector_separatrices(radial4_form):
     f = radial4_form
-    fol = f.fol
     for fc in f.faces:
         # separatrix to the origin vertex leaves p along the sector bisector
         for vid, th in fc.vertex_thetas:
@@ -36,7 +36,7 @@ def test_radial_foliation_is_radial_with_bisector_separatrices(radial4_form):
 def test_betas_sum_to_one_against_boundary_action_oracle(radial4_form, pinwheel_form):
     for f in (radial4_form, pinwheel_form):
         for i in range(len(f.faces)):
-            betas = f.fol.betas(i)
+            betas = f.faces[i].betas()
             assert abs(betas.sum() - 1.0) < 1e-12
             # oracle: trapezoid quadrature of the recentered shoelace
             # primitive over the polygon boundary between separatrix feet
@@ -65,11 +65,12 @@ def test_sector_half_sweep(radial4_form):
 
 
 def test_non_star_shaped_face_rejected():
-    # a marked point far off-center of a thin sector cannot see the whole face
-    g = make_sector_grid(1.0, [0.05, 0.95])
-    g.marked_points[1] = np.array([-0.4, -0.35])
-    with pytest.raises((FoliationError, Exception)):
-        build_foliation(g)
+    # on a regular grid with strongly curved spokes, a marked point moved
+    # inside face 0 near one spoke cannot see the whole face
+    g = make_pinwheel_grid(3, 1.0, [0.9, 0.9, 0.9])
+    g.marked_points[0] = np.array([0.0208, 0.1522])
+    with pytest.raises(FoliationError, match="star-shaped"):
+        build_form(g)
 
 
 def test_irregular_grid_rejected():
@@ -321,3 +322,30 @@ def test_gamma_samples_stay_put(radial3_form):
         tr = radial3_form.flow(x, 20.0)
         end = np.asarray(tr.points[-1][1:])
         assert radial3_form.grid.grid_distance(end) < 1e-3
+
+
+# -- integrator ---------------------------------------------------------------
+
+def test_rk45_propagates_field_bugs():
+    def f(x):
+        raise TypeError("a bug in the field")
+
+    with pytest.raises(TypeError, match="a bug in the field"):
+        rk45(f, [1.0], 1.0)
+
+
+def test_rk45_halves_the_step_at_domain_errors():
+    # dx/ds = -x is defined for x > 0 only; large steps put trial points at
+    # x <= 0, which must shrink the step rather than end the integration
+    raised = []
+
+    def f(x):
+        if x[0] <= 0.0:
+            raised.append(x[0])
+            raise DomainError("outside the domain")
+        return -x
+
+    s, x, stopped = rk45(f, [1.0], 30.0)
+    assert raised
+    assert s == 30.0 and not stopped
+    assert abs(x[0] - np.exp(-30.0)) < 1e-12

@@ -7,7 +7,7 @@ from liouville_lab.checks import (check_boundary_tangency,
                                   check_product_skeleton, product_samples)
 from liouville_lab.grid2d import make_radial_grid
 from liouville_lab.liouville2d import build_form
-from liouville_lab.polar4d import ModelDiscBundle, ProductPolarization, eval_sdb
+from liouville_lab.polar4d import ModelDiscBundle, ProductPolarization
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +114,7 @@ def test_product_closedness_fd(product, rng):
 def test_sdb_identities():
     m = ModelDiscBundle(3, 2.0)
     pt = np.array([0.4, -0.3, 0.2, 0.15])
-    W, lam, X = eval_sdb(m, pt)
+    W, lam, X = m.eval(pt)
     # primitive: i_X omega = lambda for the Liouville vector
     assert np.allclose(W.T @ X, lam, atol=1e-14)
     # curvature factor multiplies the base block
