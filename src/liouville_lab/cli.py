@@ -157,7 +157,7 @@ def cmd_liouville(args) -> int:
 
 def _form_grid(form_path: str | None) -> grid2d.Grid:
     if form_path is None:
-        raise SystemExit("need --grid or --form")
+        raise SpecError("need --grid or --form")
     with open(form_path) as fh:
         doc = json.load(fh)
     return grid2d.Grid.from_json(json.dumps(doc["grid"]))
@@ -167,7 +167,7 @@ def cmd_polar4(args) -> int:
     if args.action == "sdb":
         return cmd_sdb(args)
     if not (args.formA and args.formB):
-        raise SystemExit("polar4 classify/check need --formA and --formB")
+        raise SpecError("polar4 classify/check need --formA and --formB")
     gA = parse_grid_spec(args.formA, args.area)
     gB = parse_grid_spec(args.formB, args.area)
     pp = polar4d.ProductPolarization(liouville2d.build_form(gA),

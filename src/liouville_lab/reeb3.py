@@ -487,29 +487,14 @@ def _target_tree(targets: list) -> tuple:
     return cKDTree(mid), A, B
 
 
-def _seg_distance(x: np.ndarray, A: np.ndarray, B: np.ndarray,
-                  idx: np.ndarray) -> float:
-    a, b = A[idx], B[idx]
-    ab = b - a
-    denom = np.einsum("nd,nd->n", ab, ab)
-    denom[denom == 0] = 1.0
-    tt = np.clip(np.einsum("nd,nd->n", x[None, :] - a, ab) / denom, 0.0, 1.0)
-    proj = a + tt[:, None] * ab
-    return float(np.min(np.linalg.norm(proj - x[None, :], axis=1)))
-
-
 def target_distance_factory(targets: list):
     tree, A, B = _target_tree(targets)
     kq = min(8, len(A))
 
-    def dist(x: np.ndarray) -> float:
-        _, idx = tree.query(x, k=kq)
-        idx = np.atleast_1d(idx)
-        return _seg_distance(x, A, B, idx)
-
     def dist_batch(X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         _, idx = tree.query(X, k=kq)
+        idx = idx.reshape(len(X), -1)
         a, b = A[idx], B[idx]                      # (N, kq, 4)
         ab = b - a
         denom = np.einsum("nkd,nkd->nk", ab, ab)
@@ -518,6 +503,9 @@ def target_distance_factory(targets: list):
                      0.0, 1.0)
         proj = a + tt[..., None] * ab
         return np.min(np.linalg.norm(proj - X[:, None, :], axis=2), axis=1)
+
+    def dist(x: np.ndarray) -> float:
+        return float(dist_batch(np.asarray(x, dtype=float)[None])[0])
 
     dist.batch = dist_batch
     return dist
@@ -531,7 +519,8 @@ def chord_search(S: StarshapedHypersurface, source: LegendrianCurve,
 
     Integrates the flow from a parameter grid on the source, finds local
     minima of the distance-to-target function on the (s, t) grid, and refines
-    them below the chord tolerance with a Nelder-Mead polish.
+    them below the chord tolerance with a local zoom, evaluated one 7-point
+    row at a time, and a Nelder-Mead polish.
     """
     from scipy.optimize import minimize
 
@@ -572,6 +561,26 @@ def chord_search(S: StarshapedHypersurface, source: LegendrianCurve,
     cand = np.argwhere(local_min & (D < 0.25))
     cand = cand[np.argsort(D[cand[:, 0], cand[:, 1]])]
 
+    def in_window(tt):
+        return (tol.chord_t_min * 0.5 <= tt) & (tt <= T_max * 1.001)
+
+    def cost(u):
+        s_par, tt = u
+        if not in_window(tt):
+            return 1.0 + abs(tt)
+        zz = _curve_point(source, s_par)
+        return dist(S.flow(zz, sgn * tt, atol=1e-11))
+
+    def cost_batch(ss, tt):
+        """cost at the points (ss, tt), ss broadcast against the array tt."""
+        ss, tt = np.broadcast_arrays(np.asarray(ss, dtype=float), tt)
+        out = 1.0 + np.abs(tt)
+        ok = in_window(tt)
+        if ok.any():
+            zz = _curve_point(source, ss[ok])
+            out[ok] = dist.batch(S.flow(zz, sgn * tt[ok], atol=1e-11))
+        return out
+
     found = []
     visited = set()
     n_polish = 0
@@ -586,23 +595,18 @@ def chord_search(S: StarshapedHypersurface, source: LegendrianCurve,
         s0 = seed_idx[i_s] / n_src
         t0 = ts[i_t]
 
-        def cost(u):
-            s_par, tt = u
-            if not (tol.chord_t_min * 0.5 <= tt <= T_max * 1.001):
-                return 1.0 + abs(tt)
-            zz = _curve_point(source, s_par)
-            return dist(S.flow(zz, sgn * tt, atol=1e-11))
-
-        # deterministic local zoom (robust on V-shaped wells), then a polish
+        # deterministic local zoom (robust on V-shaped wells), then a polish;
+        # batched by row, as an improvement recentres the next rows' t-window
         bs, bt = s0, t0
         ws, wt = 1.5 / n_seed, 1.5 * (ts[1] - ts[0])
         best = cost((bs, bt))
         for _ in range(8):
             for ss in np.linspace(bs - ws, bs + ws, 7):
-                for tt in np.linspace(bt - wt, bt + wt, 7):
-                    c = cost((ss, tt))
-                    if c < best:
-                        best, bs, bt = c, ss, tt
+                row_t = np.linspace(bt - wt, bt + wt, 7)
+                c = cost_batch(ss, row_t)
+                j = int(np.argmin(c))
+                if c[j] < best:
+                    best, bs, bt = c[j], ss, row_t[j]
             ws /= 4.0
             wt /= 4.0
             if best < 0.2 * tol.chord_tol:
@@ -622,37 +626,39 @@ def chord_search(S: StarshapedHypersurface, source: LegendrianCurve,
             dup = any(abs(c.T - T) < 5e-3 and
                       np.linalg.norm(c.start_point - z0) < 5e-2 for c in found)
             if not dup:
-                transversal = _transversality(cost, res.x, res.fun, tol)
+                transversal = _transversality(cost_batch, res.x, tol)
                 found.append(ReebChord(s_par, z0, T, z1, float(res.fun),
                                        sgn, transversal))
     found.sort(key=lambda c: c.T)
     return found
 
 
-def _curve_point(curve: LegendrianCurve, s: float) -> np.ndarray:
+def _curve_point(curve: LegendrianCurve, s) -> np.ndarray:
+    """Point of the sampled curve at parameter s (a scalar or an array)."""
     p = curve.points
     n = len(p)
     if curve.closed:
         u = np.mod(s, 1.0) * n
-        i = int(u) % n
-        frac = u - int(u)
+        iu = np.floor(u).astype(int)
+        i = iu % n
+        frac = u - iu
         q = p[(i + 1) % n]
     else:
         u = np.clip(s, 0.0, 1.0) * (n - 1)
-        i = min(int(u), n - 2)
+        i = np.minimum(np.floor(u).astype(int), n - 2)
         frac = u - i
         q = p[i + 1]
-    x = (1 - frac) * p[i] + frac * q
+    x = (1 - frac)[..., None] * p[i] + frac[..., None] * q
     if curve.surface is not None:
         return curve.surface.project(x)
     return x
 
 
-def _transversality(cost, x0, f0, tol: Tolerances) -> bool:
+def _transversality(cost_batch, x0, tol: Tolerances) -> bool:
     """Degenerate chords (source sliding inside the target orbit) stay below
     tolerance along a whole t-interval."""
-    probes = [cost(x0 + np.array([0.0, dt])) for dt in (-0.02, 0.02)]
-    return not all(p < 5.0 * tol.chord_tol for p in probes)
+    probes = cost_batch(x0[0], x0[1] + np.array([-0.02, 0.02]))
+    return not np.all(probes < 5.0 * tol.chord_tol)
 
 
 # ---------------------------------------------------------------------------

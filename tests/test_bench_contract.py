@@ -1,8 +1,9 @@
 """The benchmark's tracer must find, and put back, every entry point it wraps.
 
 `perfbench/run.py --trace 1` patches attributes of the program by name; a
-renamed or deleted entry point breaks the traced run. This test installs and
-uninstalls the tracer on the program as the benchmark loads it.
+renamed or deleted entry point breaks the traced run. These tests install and
+uninstall the tracer on the program as the benchmark loads it, and check that
+its counters see the chord search's work where the program puts it.
 """
 
 import sys
@@ -20,16 +21,20 @@ def _namespaces(lib) -> list:
     return mods + classes + [scipy.optimize]
 
 
-def test_tracer_restores_every_patched_attribute():
+def _load():
     saved_path = list(sys.path)
     sys.path.insert(0, str(PERFBENCH))
     try:
         import workloads
         from tracer import Tracer
 
-        lib = workloads.load_program()
+        return workloads.load_program(), Tracer
     finally:
         sys.path[:] = saved_path
+
+
+def test_tracer_restores_every_patched_attribute():
+    lib, Tracer = _load()
     spaces = _namespaces(lib)
     before = [dict(vars(ns)) for ns in spaces]
     tracer = Tracer()
@@ -45,3 +50,27 @@ def test_tracer_restores_every_patched_attribute():
         assert now.keys() == old.keys(), ns
         changed = [k for k in old if now[k] is not old[k]]
         assert not changed, (ns, changed)
+
+
+def test_chord_zoom_queries_distance_in_batches():
+    # the zoom evaluates its rows through dist.batch; scalar distance
+    # queries are left to the polish and one zoom centre per candidate
+    lib, Tracer = _load()
+    reeb3 = lib.reeb3
+    S = reeb3.StarshapedHypersurface("sphere")
+    knot = reeb3.legendrian_great_circle(S)
+    targets = [knot, *reeb3.legendrian_graph(S, 3, n_samples=512)]
+    tracer = Tracer()
+    try:
+        tracer.install(lib)
+        chords = reeb3.chord_search(S, knot, targets, T_max=2 / 3 + 1e-3,
+                                    n_seed=24, n_time=32)
+    finally:
+        tracer.uninstall()
+    assert chords
+    counts = tracer.counts
+    assert counts["reeb3.polish.calls"] > 0
+    assert (counts["reeb3.target_distance.calls"]
+            <= counts["reeb3.polish.nfev"] + counts["reeb3.polish.calls"])
+    # the (s, t) grid has at most 24 seeds x (48 + 32) times
+    assert counts["reeb3.target_distance.batch_points"] > 24 * (48 + 32)

@@ -62,6 +62,9 @@ def test_malformed_grid_file_is_exit_2(tmp_path):
     ("reeb", "chords", "--surface", "ellipsoid:0.9"),
     ("reeb", "chords", "--source", "torus:1"),
     ("polar4", "sdb", "--probe", "1,2"),
+    # missing inputs
+    ("liouville", "flow"),
+    ("polar4", "classify", "--formA", "radial:3"),
 ])
 def test_malformed_spec_is_exit_2(args):
     r = run_cli(*args)

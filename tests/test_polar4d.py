@@ -3,10 +3,7 @@
 import numpy as np
 import pytest
 
-from liouville_lab.checks import (check_boundary_tangency,
-                                  check_product_skeleton, product_samples)
-from liouville_lab.grid2d import make_radial_grid
-from liouville_lab.liouville2d import build_form
+from liouville_lab.checks import check_boundary_tangency, check_product_skeleton
 from liouville_lab.polar4d import ModelDiscBundle, ProductPolarization
 
 

@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liouville_lab.reeb3 import (LegendrianCurve, StarshapedHypersurface,
-                                 alpha_st, chord_search, from_complex,
-                                 hopf_project, hopf_sweep, legendrian_graph,
-                                 legendrian_great_circle, legendrian_lift,
-                                 legendrian_torus_knot, mohnke_torus,
-                                 omega_st, reeb_field, shipped_knots,
-                                 spherical_polygon_area, to_complex)
+                                 _curve_point, alpha_st, chord_search,
+                                 from_complex, hopf_project, hopf_sweep,
+                                 legendrian_graph, legendrian_great_circle,
+                                 mohnke_torus, omega_st, reeb_field,
+                                 shipped_knots, spherical_polygon_area,
+                                 target_distance_factory, to_complex)
 
 SPHERE = StarshapedHypersurface("sphere")
 ELLIPSOID = StarshapedHypersurface("ellipsoid", (0.9, 0.8))
@@ -127,8 +129,6 @@ def test_hopf_sweep_components_and_areas():
 def test_cone_over_barrier_contains_product_grid(sphere_arcs):
     # sampled inclusion: radial projections of product-grid points land on
     # the barrier arcs
-    from liouville_lab.reeb3 import target_distance_factory
-
     dist = target_distance_factory(sphere_arcs)
     rng = np.random.default_rng(8)
     k = 3
@@ -159,13 +159,51 @@ def test_chords_both_directions_for_great_circle(sphere_arcs):
         assert cs[0].distance < 1e-5
 
 
-def test_degenerate_self_orbit_flagged():
-    # a Reeb orbit arc used as both source and target: chords at every T
+def orbit_arc():
+    """A Reeb orbit arc on the sphere, an open curve."""
     s = np.linspace(0.0, 0.2, 400)
     z0 = SPHERE.project(np.array([0.5, 0.1, 0.7, -0.2]))
     pts = SPHERE.flow(np.tile(z0, (len(s), 1)), s)
-    orbit = LegendrianCurve("orbit-arc", pts, closed=False, surface=SPHERE)
-    cs = chord_search(SPHERE, orbit, [orbit], T_max=0.15)
+    return LegendrianCurve("orbit-arc", pts, closed=False, surface=SPHERE)
+
+
+# the chord search's zoom rows go through the array kernels below, and the
+# Nelder-Mead polish through their scalar calls; the two must agree bit for
+# bit for the batched zoom to pick the same points as a scalar one
+CLOSED_KNOT = shipped_knots(ELLIPSOID)[2]
+OPEN_ARC = orbit_arc()
+BARRIER_DIST = target_distance_factory([CLOSED_KNOT, *legendrian_graph(ELLIPSOID, 3)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(-0.3, 1.3), min_size=1, max_size=16))
+def test_curve_point_batch_equals_scalar(s):
+    for curve in (CLOSED_KNOT, OPEN_ARC):
+        batch = _curve_point(curve, np.array(s))
+        for i, si in enumerate(s):
+            assert np.array_equal(batch[i], _curve_point(curve, si))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_target_distance_batch_equals_scalar(seed):
+    X = surface_samples(ELLIPSOID, 64, seed)
+    batch = BARRIER_DIST.batch(X)
+    assert all(batch[i] == BARRIER_DIST(x) for i, x in enumerate(X))
+
+
+def test_target_distance_to_a_single_segment():
+    # one segment means one nearest neighbour, which cKDTree returns unstacked
+    ends = SPHERE.project(np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 0.1, 0.0, 0.0]]))
+    dist = target_distance_factory([LegendrianCurve("seg", ends, closed=False)])
+    mid = ends.mean(axis=0)
+    assert np.allclose(dist.batch(np.vstack([ends, mid])), 0.0, atol=1e-15)
+    assert dist(ends[1] + [0.0, 0.0, 0.3, 0.0]) == pytest.approx(0.3)
+
+
+def test_degenerate_self_orbit_flagged():
+    # a Reeb orbit arc used as both source and target: chords at every T
+    cs = chord_search(SPHERE, OPEN_ARC, [OPEN_ARC], T_max=0.15)
     assert cs
     assert any(not c.transversal for c in cs)
 
