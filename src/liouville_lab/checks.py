@@ -12,7 +12,7 @@ import numpy as np
 
 from .config import DEFAULTS, Tolerances
 from .geom import shoelace_area
-from .liouville2d import LiouvilleForm2D
+from .liouville2d import DomainError, LiouvilleForm2D
 from .polar4d import ProductPolarization
 
 
@@ -49,7 +49,7 @@ def sample_off_singular(form: LiouvilleForm2D, n: int, rng,
         x = rng.uniform(lo, hi)
         try:
             i, th, t = form.face_at(x)
-        except Exception:
+        except DomainError:       # outside the disc
             continue
         if not (t_range[0] < t < t_range[1]):
             continue

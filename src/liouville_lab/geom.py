@@ -8,6 +8,7 @@ theta = angle/(2*pi), so omega = dR ^ dtheta and theta has period 1.
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 TWO_PI = 2.0 * np.pi
 
@@ -49,6 +50,34 @@ def segments_distance(p: np.ndarray, segs: tuple) -> np.ndarray:
     t = np.clip(np.einsum("...nd,nd->...n", p - a, ab) / denom, 0.0, 1.0)
     proj = a + t[..., None] * ab
     return np.min(np.linalg.norm(p - proj, axis=-1), axis=-1)
+
+
+class SegmentIndex:
+    """Exact nearest-segment queries on the segments of `polyline_segments`:
+    a k-d tree over their midpoints plus the largest half-length h.
+
+    A segment at distance D from a point has its midpoint within D + h of it,
+    and D is at most the distance to the nearest midpoint, so a ball of
+    radius (nearest midpoint distance + h) holds every segment that can be
+    nearest; the relative pad only adds candidates under rounding. The
+    candidates go through `segments_distance`, so the result is bit-identical
+    to measuring against every segment."""
+
+    def __init__(self, segs: tuple):
+        a, ab, _ = segs
+        self.segs = segs
+        self.tree = cKDTree(a + 0.5 * ab)
+        self.h = 0.5 * float(np.sqrt(np.max(np.einsum("nd,nd->n", ab, ab))))
+
+    def distance(self, p) -> float:
+        """Smallest distance from the points p (m, d) to the segments."""
+        p = np.asarray(p, dtype=float).reshape(-1, self.tree.m)
+        d1, _ = self.tree.query(p, k=1)
+        r = (float(np.min(d1)) + self.h) * (1.0 + 1e-9)
+        near = self.tree.query_ball_point(p, r, return_sorted=False)
+        cand = np.fromiter(set().union(*near), dtype=np.intp)
+        a, ab, denom = self.segs
+        return float(np.min(segments_distance(p, (a[cand], ab[cand], denom[cand]))))
 
 
 def gauss_legendre(n: int):

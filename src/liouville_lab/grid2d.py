@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULTS
-from .geom import TWO_PI, polyline_segments, segments_distance, shoelace_area
+from .geom import (TWO_PI, SegmentIndex, polyline_segments, segments_distance,
+                   shoelace_area)
 
 ARC_RESOLUTION = 256  # default samples per arc
 
@@ -92,7 +93,7 @@ class Grid:
     periodic: bool = False
     regular_hint: bool = False
     _face_polys: list = field(default_factory=list, repr=False)
-    _segments: tuple = field(default=(), repr=False, compare=False)
+    _index: SegmentIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.ambient_area <= 0:
@@ -105,7 +106,7 @@ class Grid:
                               or np.all(np.abs(a.points[:, 1] - N) < 1e-9))
         self._compute_valences()
         self._face_polys = [self._assemble_face(c) for c in self.faces]
-        self._segments = polyline_segments([a.points for a in self.arcs])
+        self._index = SegmentIndex(polyline_segments([a.points for a in self.arcs]))
         if self.marked_points is None:
             self.marked_points = np.array(
                 [interior_point(p) for p in self._face_polys])
@@ -200,8 +201,7 @@ class Grid:
             x = np.mod(x, N)
             x = x + N * np.array([[dx, dy] for dx in (-1.0, 0.0, 1.0)
                                   for dy in (-1.0, 0.0, 1.0)])
-            return float(np.min(segments_distance(x, self._segments)))
-        return float(segments_distance(x, self._segments))
+        return self._index.distance(x)
 
     # -- io ------------------------------------------------------------------
     def to_json(self) -> str:

@@ -63,6 +63,10 @@ class FaceChart:
     s_knots: np.ndarray      # cumulative swept area at knots (s[0]=0, s[-1]=area)
     vertex_thetas: list      # (vertex id, theta label of its separatrix)
     vertex_phis: np.ndarray = None  # angles of all grid vertices on the boundary
+    dr_coef: np.ndarray = field(init=False, repr=False)  # (n,3) dr/dphi, from r_coef
+
+    def __post_init__(self):
+        self.dr_coef = P.polyder(self.r_coef, axis=1)
 
     # -- boundary parametrizations -----------------------------------------
     def _interval_of_phi(self, ph: float) -> tuple:
@@ -114,7 +118,7 @@ class FaceChart:
         j, ph = self._interval_of_phi(ph)
         s = ph - self.phi[j]
         r = float(P.polyval(s, self.r_coef[j]))
-        dr = float(P.polyval(s, P.polyder(self.r_coef[j])))
+        dr = float(P.polyval(s, self.dr_coef[j]))
         e = np.array([np.cos(ph), np.sin(ph)])
         dphi_dtheta = 2.0 * self.area / (r * r)
         return dphi_dtheta * (dr * e + r * perp(e))
@@ -295,8 +299,9 @@ class VertexChart:
             return R ** (0.5 * m)
         if R >= e:
             return R
-        c = self._bridge()
-        return float(P.polyval(R - 0.5 * e, c))
+        y0, d0, c2, c3 = self._bridge()
+        x = R - 0.5 * e
+        return float(y0 + (d0 + (c2 + c3 * x) * x) * x)
 
     def chi_prime(self, R: float) -> float:
         m = self.mult
@@ -305,10 +310,15 @@ class VertexChart:
             return 0.5 * m * R ** (0.5 * m - 1.0) if R > 0 else 0.0
         if R >= e:
             return 1.0
-        c = self._bridge()
-        return float(P.polyval(R - 0.5 * e, P.polyder(c)))
+        _, d0, c2, c3 = self._bridge()
+        x = R - 0.5 * e
+        return float(d0 + (2 * c2 + 3 * c3 * x) * x)
 
-    def _bridge(self) -> np.ndarray:
+    def _bridge(self) -> tuple:
+        """Lowest-first coefficients (y0, d0, c2, c3) of the cubic on
+        [eps/2, eps] in R - eps/2, cached; chi and chi_prime evaluate it and
+        its derivative by Horner's rule in the operation order of
+        `P.polyval`."""
         if not self.chi_knots:
             e, m = self.eps, self.mult
             x0, x1 = 0.5 * e, e
@@ -318,7 +328,7 @@ class VertexChart:
             c3 = (2 * (y0 - x1) + h * (d0 + 1.0)) / h**3
             c2 = (3 * (x1 - y0) - h * (2 * d0 + 1.0)) / h**2
             object.__setattr__(self, "chi_knots", (y0, d0, c2, c3))
-        return np.asarray(self.chi_knots)
+        return self.chi_knots
 
     # -- chart coordinates ----------------------------------------------------
     def chart_coords(self, x: np.ndarray, grid: Grid) -> tuple:

@@ -74,3 +74,25 @@ def test_chord_zoom_queries_distance_in_batches():
             <= counts["reeb3.polish.nfev"] + counts["reeb3.polish.calls"])
     # the (s, t) grid has at most 24 seeds x (48 + 32) times
     assert counts["reeb3.target_distance.batch_points"] > 24 * (48 + 32)
+
+
+def test_grid_distance_measures_few_segments():
+    # the segment index hands segments_distance only the segments whose
+    # midpoints lie within reach of the nearest one; the query is a point
+    # 1e-4 off a spoke, as the skeleton drift checks measure
+    lib, Tracer = _load()
+    g = lib.grid2d.make_radial_grid(4, 1.0)
+    n_segments = sum(len(a.points) - 1 for a in g.arcs)
+    spoke = g.arcs[0].points
+    x = spoke[len(spoke) // 2] + [0.0, 1e-4]
+    tracer = Tracer()
+    try:
+        tracer.install(lib)
+        d = g.grid_distance(x)
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts
+    assert 0.0 < d <= 1e-4
+    assert counts["grid2d.grid_distance.calls"] == 1
+    assert counts["geom.segments_distance.calls"] == 1
+    assert 0 < counts["geom.segments_distance.pairs"] < 0.01 * n_segments

@@ -1,4 +1,4 @@
-"""Grid construction, areas, regularity, and file round-trips."""
+"""Grid construction, areas, regularity, distance, and file round-trips."""
 
 from fractions import Fraction
 
@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liouville_lab.geom import (SegmentIndex, polyline_segments,
+                                segments_distance)
 from liouville_lab.grid2d import (Grid, GridError, make_periodic_grid,
                                   make_pinwheel_grid, make_radial_grid,
                                   make_sector_grid, point_in_polygon,
@@ -193,3 +195,75 @@ def test_sector_partition_property(raw):
         return
     g = make_sector_grid(1.0, fracs, base_segments=1000)
     assert np.allclose(g.face_areas(), fracs, atol=1e-12)
+
+
+DISTANCE_GRIDS = {
+    "radial:4": make_radial_grid(4, 1.0),
+    "pinwheel": make_pinwheel_grid(3, 1.0, [0.35, -0.25, 0.1]),
+    "periodic:2": make_periodic_grid(2),
+}
+
+
+def _brute_grid_distance(g: Grid, x) -> float:
+    """Distance to every segment of every arc (nine images when periodic)."""
+    segs = polyline_segments([a.points for a in g.arcs])
+    if g.periodic:
+        N = g.period
+        x = np.mod(x, N) + N * np.array([[dx, dy] for dx in (-1.0, 0.0, 1.0)
+                                         for dy in (-1.0, 0.0, 1.0)])
+        return float(np.min(segments_distance(x, segs)))
+    return float(segments_distance(x, segs))
+
+
+def _draw_point(draw, polylines, size: float, center) -> np.ndarray:
+    """A point inside the domain, on a polyline vertex, on a segment, or far
+    outside."""
+    unit = st.floats(0.0, 1.0)
+    kind = draw(st.sampled_from(["inside", "vertex", "segment", "far"]))
+    if kind in ("vertex", "segment"):
+        pts = polylines[draw(st.integers(0, len(polylines) - 1))]
+        i = draw(st.integers(0, len(pts) - 2))
+        w = draw(unit) if kind == "segment" else 0.0
+        return (1.0 - w) * pts[i] + w * pts[i + 1]
+    ang = 2.0 * np.pi * draw(unit)
+    r = size * (draw(unit) if kind == "inside" else draw(st.floats(2.0, 50.0)))
+    return center + r * np.array([np.cos(ang), np.sin(ang)])
+
+
+@st.composite
+def _grid_and_point(draw):
+    name = draw(st.sampled_from(sorted(DISTANCE_GRIDS)))
+    g = DISTANCE_GRIDS[name]
+    if g.periodic:
+        size, center = 0.5 * g.period, 0.5 * g.period * np.ones(2)
+    else:
+        size, center = g.boundary_radius(), np.zeros(2)
+    return name, _draw_point(draw, [a.points for a in g.arcs], size, center)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grid_and_point())
+def test_grid_distance_equals_brute_force(grid_and_point):
+    name, x = grid_and_point
+    g = DISTANCE_GRIDS[name]
+    d, ref = g.grid_distance(x), _brute_grid_distance(g, x)
+    assert np.float64(d).tobytes() == np.float64(ref).tobytes(), (name, x, d, ref)
+
+
+# arcs forbid repeated points, so the zero-length case is an index over the
+# radial:4 arcs plus a one-point polyline off the grid
+ZERO_LENGTH_POLYLINES = ([a.points for a in DISTANCE_GRIDS["radial:4"].arcs]
+                         + [np.array([[0.2, 0.1], [0.2, 0.1]])])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_segment_index_with_a_zero_length_segment(data):
+    segs = polyline_segments(ZERO_LENGTH_POLYLINES)
+    index = SegmentIndex(segs)
+    x = _draw_point(data.draw, ZERO_LENGTH_POLYLINES, 0.6, np.zeros(2))
+    images = x + np.array([[0.0, 0.0], [1e-3, 0.0], [0.0, -2e-3]])
+    for p in (x, images):
+        d = index.distance(p)
+        ref = float(np.min(segments_distance(p, segs)))
+        assert np.float64(d).tobytes() == np.float64(ref).tobytes(), (p, d, ref)

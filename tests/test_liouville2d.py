@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as P
 
 from liouville_lab.checks import (check_backward_complete, check_basin,
                                   check_gamma_invariance, gamma_samples,
@@ -159,6 +160,25 @@ def test_smoothed_vertex_chart_formula(radial4_form):
     ray = chart.center + np.array([chart.ambient_radius() * 0.4, 0.0])
     X = f.eval_X(ray)
     assert abs(X[1]) < 1e-12 and X[0] > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_chi_horner_equals_polyval(radial4_form, pinwheel_form, periodic_form, data):
+    charts = [c for f in (radial4_form, pinwheel_form, periodic_form)
+              for c in f.charts]
+    chart = charts[data.draw(st.integers(0, len(charts) - 1))]
+    e, m = chart.eps, chart.mult
+    R = data.draw(st.floats(0.0, 2.0 * e))
+    c = np.asarray(chart._bridge())
+    if R <= 0.5 * e:
+        ref = (R ** (0.5 * m), 0.5 * m * R ** (0.5 * m - 1.0) if R > 0 else 0.0)
+    elif R >= e:
+        ref = (R, 1.0)
+    else:
+        ref = (float(P.polyval(R - 0.5 * e, c)),
+               float(P.polyval(R - 0.5 * e, P.polyder(c))))
+    assert (chart.chi(R), chart.chi_prime(R)) == ref
 
 
 def test_loop_integrals_approximate_residue(radial4_form):
@@ -322,6 +342,16 @@ def test_gamma_samples_stay_put(radial3_form):
         tr = radial3_form.flow(x, 20.0)
         end = np.asarray(tr.points[-1][1:])
         assert radial3_form.grid.grid_distance(end) < 1e-3
+
+
+def test_sampler_propagates_non_domain_errors(radial3_form, monkeypatch, rng):
+    # points outside the disc (DomainError) are skipped; a bug is not
+    def face_at(x, band=1e-9):
+        raise TypeError("a bug in point location")
+
+    monkeypatch.setattr(radial3_form, "face_at", face_at)
+    with pytest.raises(TypeError, match="a bug in point location"):
+        sample_off_singular(radial3_form, 1, rng)
 
 
 # -- integrator ---------------------------------------------------------------
