@@ -10,10 +10,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULTS, Tolerances
 from .geom import shoelace_area
-from .liouville2d import DomainError, LiouvilleForm2D
+from .liouville2d import GRID_BAND_GEOM, DomainError, LiouvilleForm2D
 from .polar4d import ProductPolarization
+
+# relative error allowed in finite-difference dlambda vs omega
+CLOSEDNESS_REL = 1e-4
+# central-difference step for closedness checks
+FD_STEP = 1e-5
+# |lambda(leaf tangent)| / |lambda transverse| bound
+LEAF_VANISHING = 1e-6
+# relative error in the swept-area law per face
+SWEPT_AREA_REL = 1e-4
+# absolute slack on loop-integral residues beyond rho
+RESIDUE_QUAD = 1e-4
+# allowed drift of skeleton points under the flow, |t| <= 20
+GAMMA_INVARIANCE = 1e-3
 
 
 @dataclass
@@ -34,8 +46,7 @@ def sample_off_singular(form: LiouvilleForm2D, n: int, rng,
                         gamma_margin=None) -> np.ndarray:
     """Uniform points of the smooth locus: away from the grid, the marked
     points, the smoothing charts, and the chart seams."""
-    tol = form.tol
-    gamma_margin = (50.0 * tol.fd_step) if gamma_margin is None else gamma_margin
+    gamma_margin = (50.0 * FD_STEP) if gamma_margin is None else gamma_margin
     out = []
     if form.grid.periodic:
         N = form.grid.period
@@ -65,7 +76,7 @@ def sample_off_singular(form: LiouvilleForm2D, n: int, rng,
             v = form._face_local(fc, x) - fc.p
             phx = np.arctan2(v[1], v[0])
             dphi = np.abs(np.mod(phx - fc.vertex_phis + np.pi, 2 * np.pi) - np.pi)
-            if np.min(dphi) * np.hypot(v[0], v[1]) < 40.0 * tol.fd_step:
+            if np.min(dphi) * np.hypot(v[0], v[1]) < 40.0 * FD_STEP:
                 continue
         out.append(x)
     if len(out) < n:
@@ -73,11 +84,11 @@ def sample_off_singular(form: LiouvilleForm2D, n: int, rng,
     return np.array(out)
 
 
-def check_closedness(form: LiouvilleForm2D, n: int = 1000, seed: int = 7,
-                     tol: Tolerances = DEFAULTS) -> CheckResult:
+def check_closedness(form: LiouvilleForm2D, n: int = 1000,
+                     seed: int = 7) -> CheckResult:
     rng = np.random.default_rng(seed)
     pts = sample_off_singular(form, n, rng)
-    h = tol.fd_step
+    h = FD_STEP
     worst = 0.0
     for x in pts:
         lp = form.eval_lambda(x + [h, 0.0])
@@ -86,12 +97,12 @@ def check_closedness(form: LiouvilleForm2D, n: int = 1000, seed: int = 7,
         um = form.eval_lambda(x - [0.0, h])
         dl = (lp[1] - lm[1]) / (2 * h) - (up[0] - um[0]) / (2 * h)
         worst = max(worst, abs(dl - 1.0))
-    return CheckResult("closedness dlambda=omega", worst < tol.closedness_rel,
-                       worst, tol.closedness_rel)
+    return CheckResult("closedness dlambda=omega", worst < CLOSEDNESS_REL,
+                       worst, CLOSEDNESS_REL)
 
 
-def check_leaf_vanishing(form: LiouvilleForm2D, n: int = 400, seed: int = 11,
-                         tol: Tolerances = DEFAULTS) -> CheckResult:
+def check_leaf_vanishing(form: LiouvilleForm2D, n: int = 400,
+                         seed: int = 11) -> CheckResult:
     rng = np.random.default_rng(seed)
     pts = sample_off_singular(form, n, rng)
     worst = 0.0
@@ -103,12 +114,11 @@ def check_leaf_vanishing(form: LiouvilleForm2D, n: int = 400, seed: int = 11,
         u = u / np.linalg.norm(u)
         lam = form.eval_lambda(x)
         worst = max(worst, abs(float(lam @ u)) / max(np.linalg.norm(lam), 1e-300))
-    return CheckResult("leaf vanishing", worst < tol.leaf_vanishing, worst,
-                       tol.leaf_vanishing)
+    return CheckResult("leaf vanishing", worst < LEAF_VANISHING, worst,
+                       LEAF_VANISHING)
 
 
-def check_swept_area(form: LiouvilleForm2D, tol: Tolerances = DEFAULTS,
-                     n_boundary: int = 2048) -> CheckResult:
+def check_swept_area(form: LiouvilleForm2D, n_boundary: int = 2048) -> CheckResult:
     """Polygon-quadrature oracle for the swept-area law on every face."""
     worst = 0.0
     for fc in form.faces:
@@ -118,26 +128,25 @@ def check_swept_area(form: LiouvilleForm2D, tol: Tolerances = DEFAULTS,
             poly = np.vstack([fc.p[None, :], ring])
             area = shoelace_area(poly)
             worst = max(worst, abs(area - theta * fc.area) / fc.area)
-    return CheckResult("swept-area law", worst < tol.swept_area_rel, worst,
-                       tol.swept_area_rel)
+    return CheckResult("swept-area law", worst < SWEPT_AREA_REL, worst,
+                       SWEPT_AREA_REL)
 
 
-def check_residues(form: LiouvilleForm2D, rho: float = 1e-2,
-                   tol: Tolerances = DEFAULTS) -> CheckResult:
+def check_residues(form: LiouvilleForm2D, rho: float = 1e-2) -> CheckResult:
     worst = 0.0
     for i, fc in enumerate(form.faces):
         val = form.residue_loop_integral(i, rho)
         worst = max(worst, abs(val + fc.area))
-    bound = rho + tol.residue_quad
+    bound = rho + RESIDUE_QUAD
     return CheckResult("residue loops", worst < bound, worst, bound,
                        detail=f"rho={rho:g}")
 
 
 def check_basin(form: LiouvilleForm2D, n: int = 2000, t_max: float = 20.0,
-                seed: int = 23, tol: Tolerances = DEFAULTS) -> CheckResult:
+                seed: int = 23) -> CheckResult:
     rng = np.random.default_rng(seed)
     pts = sample_off_singular(form, n, rng, t_range=(1e-4, 1.0 - 1e-6),
-                              chart_margin=0.0, gamma_margin=tol.grid_band_geom)
+                              chart_margin=0.0, gamma_margin=GRID_BAND_GEOM)
     good = 0
     for x in pts:
         i, th, t = form.face_at(x)
@@ -174,8 +183,7 @@ def gamma_samples(form: LiouvilleForm2D, n_per_face: int = 14,
     return np.array(pts)
 
 
-def check_gamma_invariance(form: LiouvilleForm2D, T: float = 20.0,
-                           tol: Tolerances = DEFAULTS) -> CheckResult:
+def check_gamma_invariance(form: LiouvilleForm2D, T: float = 20.0) -> CheckResult:
     pts = gamma_samples(form)
     worst = 0.0
     for x in pts:
@@ -184,15 +192,14 @@ def check_gamma_invariance(form: LiouvilleForm2D, T: float = 20.0,
             for (_, px, py) in tr.points:
                 worst = max(worst, form.grid.grid_distance(np.array([px, py])))
     return CheckResult("skeleton invariance |t|<=%g" % T,
-                       worst < tol.gamma_invariance, worst, tol.gamma_invariance)
+                       worst < GAMMA_INVARIANCE, worst, GAMMA_INVARIANCE)
 
 
 def check_backward_complete(form: LiouvilleForm2D, n: int = 300,
-                            T: float = 20.0, seed: int = 5,
-                            tol: Tolerances = DEFAULTS) -> CheckResult:
+                            T: float = 20.0, seed: int = 5) -> CheckResult:
     rng = np.random.default_rng(seed)
     pts = sample_off_singular(form, n, rng, chart_margin=0.0,
-                              gamma_margin=tol.grid_band_geom)
+                              gamma_margin=GRID_BAND_GEOM)
     if form.grid.periodic:
         bound = np.inf
         worst = 0.0
@@ -203,7 +210,7 @@ def check_backward_complete(form: LiouvilleForm2D, n: int = 300,
                 worst = np.inf
         return CheckResult("backward completeness", worst == 0.0, worst, 1.0)
     # the resolved boundary carries the arc-resolution tolerance band
-    r_out = form.grid.boundary_radius() + tol.grid_band_geom
+    r_out = form.grid.boundary_radius() + GRID_BAND_GEOM
     worst = 0.0
     for x in pts:
         tr = form.flow(x, T, direction=-1)
@@ -213,16 +220,16 @@ def check_backward_complete(form: LiouvilleForm2D, n: int = 300,
                        detail="max |x| along backward flows")
 
 
-def run_battery(form: LiouvilleForm2D, tol: Tolerances = DEFAULTS,
-                n_closed: int = 1000, n_basin: int = 2000, seed: int = 7) -> list:
+def run_battery(form: LiouvilleForm2D, n_closed: int = 1000,
+                n_basin: int = 2000, seed: int = 7) -> list:
     return [
-        check_closedness(form, n_closed, seed, tol),
-        check_leaf_vanishing(form, max(200, n_closed // 4), seed + 1, tol),
-        check_swept_area(form, tol),
-        check_residues(form, 1e-2, tol),
-        check_basin(form, n_basin, 20.0, seed + 2, tol),
-        check_gamma_invariance(form, 20.0, tol),
-        check_backward_complete(form, max(100, n_basin // 10), 20.0, seed + 3, tol),
+        check_closedness(form, n_closed, seed),
+        check_leaf_vanishing(form, max(200, n_closed // 4), seed + 1),
+        check_swept_area(form),
+        check_residues(form, 1e-2),
+        check_basin(form, n_basin, 20.0, seed + 2),
+        check_gamma_invariance(form, 20.0),
+        check_backward_complete(form, max(100, n_basin // 10), 20.0, seed + 3),
     ]
 
 
@@ -243,10 +250,10 @@ def product_samples(pp: ProductPolarization, n: int, rng) -> np.ndarray:
 
 
 def check_product_skeleton(pp: ProductPolarization, n: int = 2000,
-                           seed: int = 7, tol: Tolerances = DEFAULTS) -> CheckResult:
+                           seed: int = 7) -> CheckResult:
     rng = np.random.default_rng(seed)
     pts = product_samples(pp, n, rng)
-    band = tol.grid_band_geom
+    band = GRID_BAND_GEOM
     agree = 0
     for p4 in pts:
         x, y = pp.split(p4)
@@ -260,7 +267,7 @@ def check_product_skeleton(pp: ProductPolarization, n: int = 2000,
 
 
 def check_boundary_tangency(pp: ProductPolarization, n: int = 200,
-                            seed: int = 3, tol: Tolerances = DEFAULTS) -> CheckResult:
+                            seed: int = 3) -> CheckResult:
     rng = np.random.default_rng(seed)
     r_out = pp.fA.grid.boundary_radius()
     worst = 0.0
@@ -273,11 +280,11 @@ def check_boundary_tangency(pp: ProductPolarization, n: int = 200,
 
 
 def check_product_closedness(pp: ProductPolarization, n: int = 1000,
-                             seed: int = 13, tol: Tolerances = DEFAULTS) -> CheckResult:
+                             seed: int = 13) -> CheckResult:
     rng = np.random.default_rng(seed)
     ptsA = sample_off_singular(pp.fA, n, rng)
     ptsB = sample_off_singular(pp.fB, n, rng)
-    h = tol.fd_step
+    h = FD_STEP
     worst = 0.0
     for x, y in zip(ptsA, ptsB):
         p4 = np.concatenate([x, y])
@@ -291,5 +298,5 @@ def check_product_closedness(pp: ProductPolarization, n: int = 1000,
         W[0, 1], W[1, 0] = 1.0, -1.0
         W[2, 3], W[3, 2] = 1.0, -1.0
         worst = max(worst, np.abs(dl - W).max())
-    return CheckResult("product closedness", worst < tol.closedness_rel,
-                       worst, tol.closedness_rel)
+    return CheckResult("product closedness", worst < CLOSEDNESS_REL,
+                       worst, CLOSEDNESS_REL)

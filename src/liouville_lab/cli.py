@@ -9,12 +9,22 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
 
 from . import checks, divisor_arith as da, grid2d, liouville2d, polar4d, reeb3, svgplot
-from .config import env_seed
+
+DEFAULT_SEED = 7
+
+
+def env_seed() -> int:
+    """Random seed, overridable through LIOUVILLE_LAB_SEED."""
+    raw = os.environ.get("LIOUVILLE_LAB_SEED")
+    if raw is None:
+        return DEFAULT_SEED
+    return int(raw)
 
 
 class SpecError(ValueError):

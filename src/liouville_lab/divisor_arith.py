@@ -31,9 +31,6 @@ class Component:
         if self.area <= 0 or self.weight <= 0:
             raise DivisorError("area and weight must be positive")
 
-    def euler(self) -> int:
-        return 2 - 2 * self.genus - self.boundary
-
 
 @dataclass
 class WeightedDivisor:

@@ -44,10 +44,12 @@ def polyline_segments(polylines) -> tuple:
 
 def segments_distance(p: np.ndarray, segs: tuple) -> np.ndarray:
     """Exact distance from points p (..., d) to the union of the segments
-    `segs` made by `polyline_segments`."""
+    `segs` made by `polyline_segments`: one shared set of n segments, with
+    arrays (n, d), (n, d) and (n,), or a set per point, with arrays
+    (..., n, d), (..., n, d) and (..., n)."""
     a, ab, denom = segs
     p = np.asarray(p, dtype=float)[..., None, :]
-    t = np.clip(np.einsum("...nd,nd->...n", p - a, ab) / denom, 0.0, 1.0)
+    t = np.clip(np.einsum("...nd,...nd->...n", p - a, ab) / denom, 0.0, 1.0)
     proj = a + t[..., None] * ab
     return np.min(np.linalg.norm(p - proj, axis=-1), axis=-1)
 

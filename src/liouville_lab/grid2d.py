@@ -16,11 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULTS
 from .geom import (TWO_PI, SegmentIndex, polyline_segments, segments_distance,
                    shoelace_area)
 
 ARC_RESOLUTION = 256  # default samples per arc
+# sector-angle deviation accepted by the regularity check [rad]
+REGULAR_SECTOR = 1e-3
+# relative distance from the boundary circle within which a vertex lies on it
+BOUNDARY_REL = 1e-7
 
 
 class GridError(ValueError):
@@ -283,13 +286,14 @@ def interior_point(poly: np.ndarray) -> np.ndarray:
     return best
 
 
-def flag_boundary_vertices(g: Grid, tol: float = 1e-7):
+def flag_boundary_vertices(g: Grid):
     """Mark vertices lying on the outer boundary polygon."""
     if g.periodic:
         return
     r_out = g.boundary_radius()
     for v in g.vertices:
-        v.boundary = abs(np.linalg.norm(v.xy) - r_out) < tol * max(1.0, r_out)
+        dev = abs(np.linalg.norm(v.xy) - r_out)
+        v.boundary = dev < BOUNDARY_REL * max(1.0, r_out)
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +571,7 @@ def _branch_angles_at(g: Grid, vi: int) -> list:
     return out
 
 
-def validate_regular(g: Grid, tol: float | None = None) -> RegularityCertificate:
+def validate_regular(g: Grid) -> RegularityCertificate:
     """Check the equal-sector chart condition at every vertex.
 
     Interior vertices use the translated Darboux chart. Boundary vertices use
@@ -576,7 +580,6 @@ def validate_regular(g: Grid, tol: float | None = None) -> RegularityCertificate
     is the (tangent, inward normal) frame, so sector angles are measured there,
     with the two boundary rays pinned at 0 and pi.
     """
-    tol = DEFAULTS.regular_sector if tol is None else tol
     entries = []
     offender = None
     for vi, v in enumerate(g.vertices):
@@ -593,7 +596,7 @@ def validate_regular(g: Grid, tol: float | None = None) -> RegularityCertificate
             target = TWO_PI / len(sec)
         dev = float(max(abs(s - target) for s in sec))
         entries.append(RegularityEntry(vi, v.xy.copy(), rot, sec, dev))
-        if dev > tol and offender is None:
+        if dev > REGULAR_SECTOR and offender is None:
             offender = vi
     return RegularityCertificate(offender is None, entries, offender)
 
@@ -609,8 +612,9 @@ def _boundary_sectors(g: Grid, vi: int, angles: list):
 
 
 __all__ = [
-    "ARC_RESOLUTION", "Arc", "Grid", "GridError", "RegularityCertificate",
-    "RegularityEntry", "Vertex", "flag_boundary_vertices", "interior_point",
+    "ARC_RESOLUTION", "REGULAR_SECTOR", "Arc", "Grid", "GridError",
+    "RegularityCertificate", "RegularityEntry", "Vertex",
+    "flag_boundary_vertices", "interior_point",
     "make_periodic_grid", "make_pinwheel_grid", "make_radial_grid",
     "make_sector_grid", "point_in_polygon", "polygon_centroid",
     "validate_regular",

@@ -31,11 +31,23 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .config import DEFAULTS, Tolerances
 from .geom import (TWO_PI, min_image, perp, polyline_segments,
                    segments_distance)
 from .grid2d import Grid, validate_regular
 from .integrate import rk45
+
+# adapted radius R~ below which a trajectory counts as converged to the
+# marked point
+CONVERGENCE_R = 1e-9
+# ODE tolerance for chart-zone integration
+FLOW_ATOL = 1e-9
+# geometric distance used when classifying flow endpoints against the skeleton
+GRID_BAND_GEOM = 1e-3
+# largest distance of a branch polyline from its model ray inside a vertex
+# chart, in chart coordinates; the chart radius is capped to keep it
+BRANCH_DEVIATION = 2e-4
+# largest leaf-chart area fraction a t^2 / a of a weight-splitting disc
+SPLIT_R_FRAC = 0.09
 
 
 class FoliationError(ValueError):
@@ -445,16 +457,14 @@ class Trajectory:
 class LiouvilleForm2D:
     """Grid + foliation + smoothing; evaluators for lambda and X."""
 
-    def __init__(self, grid: Grid, tol: Tolerances = DEFAULTS,
-                 smoothing: bool = True):
-        cert = validate_regular(grid, tol.regular_sector)
+    def __init__(self, grid: Grid, smoothing: bool = True):
+        cert = validate_regular(grid)
         if not cert.ok:
             off = cert.offender_entry()
             raise FoliationError(
                 f"vertex {cert.offender} has no equal-sector chart "
                 f"(sector angles {off.sector_angles})")
         self.grid = grid
-        self.tol = tol
         self.smoothing = smoothing
         self.cert = cert
 
@@ -579,14 +589,13 @@ class LiouvilleForm2D:
         return v
 
     # -- flow ------------------------------------------------------------------
-    def flow(self, start, t_max: float, direction: int = 1,
-             record_dt: float = 0.25) -> Trajectory:
+    def flow(self, start, t_max: float, direction: int = 1) -> Trajectory:
         """Integrate direction * X from start for Liouville time t_max."""
         x = np.asarray(start, dtype=float).copy()
         pts = [(0.0, float(x[0]), float(x[1]))]
         s = 0.0
         guard = 0
-        conv_t = np.sqrt(self.tol.convergence_R)
+        conv_t = np.sqrt(CONVERGENCE_R)
         while s < t_max and guard < 400:
             guard += 1
             c = self.chart_at(x) if self.smoothing else None
@@ -599,30 +608,24 @@ class LiouvilleForm2D:
                 i, th, t = self.face_at(x, band=1e-7)
             except DomainError:
                 return Trajectory(pts, "undecided", note="left the domain")
-            fc = self.faces[i]
-            xloc = self._face_local(fc, x)
             if t >= 1.0 - 1e-12:
                 # on the skeleton: the face field vanishes identically
                 pts.append((t_max, float(x[0]), float(x[1])))
                 return Trajectory(pts, "skeleton", face=i)
-            if direction > 0:
-                s, x, done = self._face_leg_forward(fc, xloc, th, t, s, t_max, pts)
-                if done is not None:
-                    return done
-            else:
-                s, x, done = self._face_leg_backward(fc, xloc, th, t, s, t_max, pts)
-                if done is not None:
-                    return done
+            s, x, done = self._face_leg(self.faces[i], th, t, s, t_max,
+                                        direction, pts)
+            if done is not None:
+                return done
             x = self.wrap(x)
         try:
             i, th, t = self.face_at(x, band=1e-5)
         except DomainError:
-            if self.grid.grid_distance(x) < self.tol.grid_band_geom:
+            if self.grid.grid_distance(x) < GRID_BAND_GEOM:
                 return Trajectory(pts, "skeleton")
             return Trajectory(pts, "undecided", note="left the domain")
         if t <= conv_t:
             return Trajectory(pts, "converged", face=i, t_plus=s)
-        if self.grid.grid_distance(x) < self.tol.grid_band_geom:
+        if self.grid.grid_distance(x) < GRID_BAND_GEOM:
             return Trajectory(pts, "skeleton", face=i)
         return Trajectory(pts, "undecided", face=i, note="budget exhausted")
 
@@ -648,60 +651,46 @@ class LiouvilleForm2D:
         out.sort()
         return out
 
-    def _face_leg_forward(self, fc, x, th, t, s, t_max, pts):
+    def _face_leg(self, fc, th, t, s, t_max, direction, pts):
+        """Closed-form leg along leaf th from label t at time s, on which
+        1 - t^2 scales by e^(direction s): forward it runs to the marked
+        point, backward towards the face boundary, either way stopping at the
+        next chart ball on the leaf or at t_max. Returns (s, x, Trajectory or
+        None while the flow goes on)."""
         intervals = self._leaf_chart_intervals(fc, th)
-        blockers = [iv for iv in intervals if iv[1] < t - 1e-12]
-        conv_t = np.sqrt(self.tol.convergence_R / fc.area)
-        if not blockers:
+        if direction > 0:
+            t_stop = max((hi for lo, hi in intervals if hi < t - 1e-12),
+                         default=None)
+        else:
+            t_stop = min((lo for lo, hi in intervals if lo > t + 1e-12),
+                         default=None)
+        if t_stop is not None:
+            ds = direction * np.log((1.0 - t_stop * t_stop) / (1.0 - t * t))
+            if s + ds <= t_max:
+                x_new = fc.leaf(th, min(t_stop * (1.0 - direction * 1e-9), 1.0))
+                s += ds
+                pts.append((s, float(x_new[0]), float(x_new[1])))
+                return s, x_new, None
+        elif direction > 0:
             s_star = -np.log(max(1.0 - t * t, 1e-300))
             if s + s_star <= t_max:
                 x_end = fc.p.copy()
                 pts.append((s + s_star, float(x_end[0]), float(x_end[1])))
                 return s + s_star, x_end, Trajectory(
                     pts, "converged", face=fc.face, t_plus=s + s_star)
-            t_new = np.sqrt(max(0.0, 1.0 - (1.0 - t * t) * np.exp(t_max - s)))
-            x_end = fc.leaf(th, max(t_new, 0.0))
-            pts.append((t_max, float(x_end[0]), float(x_end[1])))
-            cls = "converged" if t_new <= conv_t else "undecided"
-            return t_max, x_end, Trajectory(
-                pts, cls, face=fc.face,
-                t_plus=t_max if cls == "converged" else None,
-                note="" if cls == "converged" else "budget exhausted")
-        t_stop = max(iv[1] for iv in blockers)
-        ds = np.log((1.0 - t_stop * t_stop) / (1.0 - t * t))
-        if s + ds > t_max:
-            t_new = np.sqrt(max(0.0, 1.0 - (1.0 - t * t) * np.exp(t_max - s)))
-            x_end = fc.leaf(th, t_new)
-            pts.append((t_max, float(x_end[0]), float(x_end[1])))
-            return t_max, x_end, Trajectory(pts, "undecided", face=fc.face,
-                                            note="budget exhausted")
-        x_new = fc.leaf(th, t_stop * (1.0 - 1e-9))
-        s += ds
-        pts.append((s, float(x_new[0]), float(x_new[1])))
-        return s, x_new, None
-
-    def _face_leg_backward(self, fc, x, th, t, s, t_max, pts):
-        intervals = self._leaf_chart_intervals(fc, th)
-        blockers = [iv for iv in intervals if iv[0] > t + 1e-12]
-        if not blockers:
+        t_new = np.sqrt(max(0.0, 1.0 - (1.0 - t * t)
+                            * np.exp(direction * (t_max - s))))
+        x_end = fc.leaf(th, t_new)
+        pts.append((t_max, float(x_end[0]), float(x_end[1])))
+        if direction < 0:
             # t -> 1 asymptotically; never reaches the boundary
-            t_new = np.sqrt(1.0 - (1.0 - t * t) * np.exp(-(t_max - s)))
-            x_end = fc.leaf(th, t_new)
-            pts.append((t_max, float(x_end[0]), float(x_end[1])))
             return t_max, x_end, Trajectory(pts, "undecided", face=fc.face,
                                             note="backward leg complete")
-        t_stop = min(iv[0] for iv in blockers)
-        ds = -np.log((1.0 - t_stop * t_stop) / (1.0 - t * t))
-        if s + ds > t_max:
-            t_new = np.sqrt(1.0 - (1.0 - t * t) * np.exp(-(t_max - s)))
-            x_end = fc.leaf(th, t_new)
-            pts.append((t_max, float(x_end[0]), float(x_end[1])))
-            return t_max, x_end, Trajectory(pts, "undecided", face=fc.face,
-                                            note="backward leg complete")
-        x_new = fc.leaf(th, min(t_stop * (1.0 + 1e-9), 1.0))
-        s += ds
-        pts.append((s, float(x_new[0]), float(x_new[1])))
-        return s, x_new, None
+        if t_stop is None and t_new <= np.sqrt(CONVERGENCE_R / fc.area):
+            return t_max, x_end, Trajectory(pts, "converged", face=fc.face,
+                                            t_plus=t_max)
+        return t_max, x_end, Trajectory(pts, "undecided", face=fc.face,
+                                        note="budget exhausted")
 
     def _chart_leg(self, chart, x, s, t_max, direction, pts):
         """Integrate the model ODE in chart coordinates (R, theta).
@@ -732,7 +721,7 @@ class LiouvilleForm2D:
         def record(si, yi):
             trail.append((s + si, yi.copy()))
 
-        ds, y_new, stopped = rk45(f, state0, budget, atol=self.tol.flow_atol,
+        ds, y_new, stopped = rk45(f, state0, budget, atol=FLOW_ATOL,
                                   rtol=1e-10, stop=stop, max_step=0.5,
                                   record=record)
         for si, yi in trail[-40:]:
@@ -780,10 +769,10 @@ def _build_vertex_charts(grid: Grid, cert, singular: set) -> list:
     return charts
 
 
-def _curvature_cap(grid: Grid, chart: "VertexChart", dev_tol: float = 2e-4) -> float:
+def _curvature_cap(grid: Grid, chart: "VertexChart") -> float:
     """Largest chart radius at which every incident branch polyline stays
-    within dev_tol of its nearest model ray, measured in chart coordinates
-    (boundary charts straighten the boundary circle exactly)."""
+    within BRANCH_DEVIATION of its nearest model ray, measured in chart
+    coordinates (boundary charts straighten the boundary circle exactly)."""
     vi = chart.vid
     rays = chart.branch_turns()
     rc = chart.ambient_radius()
@@ -805,7 +794,7 @@ def _curvature_cap(grid: Grid, chart: "VertexChart", dev_tol: float = 2e-4) -> f
                 if chart.boundary:
                     dth = min(dth, abs(th - 1.0))
                 trans = r * np.sin(min(TWO_PI * dth, np.pi / 2))
-                if trans > dev_tol:
+                if trans > BRANCH_DEVIATION:
                     rc = min(rc, 0.95 * r)
                     break
     return rc
@@ -843,9 +832,8 @@ def _chart_reach(grid: Grid, vi: int, marked) -> float:
 # spec-level operations
 # ---------------------------------------------------------------------------
 
-def build_form(grid: Grid, tol: Tolerances = DEFAULTS,
-               smoothing: bool = True) -> LiouvilleForm2D:
-    return LiouvilleForm2D(grid, tol, smoothing)
+def build_form(grid: Grid, smoothing: bool = True) -> LiouvilleForm2D:
+    return LiouvilleForm2D(grid, smoothing)
 
 
 # ---------------------------------------------------------------------------
@@ -861,8 +849,7 @@ class SplitForm2D:
     Outside D the form (and hence the flow) is unchanged.
     """
 
-    def __init__(self, base: LiouvilleForm2D, face: int, a1: float, a2: float,
-                 split_R_frac: float = 0.09):
+    def __init__(self, base: LiouvilleForm2D, face: int, a1: float, a2: float):
         fc = base.faces[face]
         a = fc.area
         if a1 <= 0 or a2 <= 0:
@@ -874,7 +861,7 @@ class SplitForm2D:
         self.a1, self.a2 = float(a1), float(a2)
         self.fc = fc
         # the split disc lives in the leaf chart, clear of all vertex charts
-        t_split = min(np.sqrt(split_R_frac), 0.6 * base._leaf_clearance(fc))
+        t_split = min(np.sqrt(SPLIT_R_FRAC), 0.6 * base._leaf_clearance(fc))
         if t_split <= 0.05:
             raise ValueError("no room for the split disc in this face")
         rb_min = float(np.min(fc.r_coef[:, 0]))

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULTS, Tolerances
 from .geom import gauss_legendre
 from .liouville2d import LiouvilleForm2D
 
@@ -34,11 +33,9 @@ class Classification4:
 class ProductPolarization:
     """lambda = pi1* lambda_A + pi2* lambda_B on D(A) x D(B)."""
 
-    def __init__(self, form_A: LiouvilleForm2D, form_B: LiouvilleForm2D,
-                 tol: Tolerances = DEFAULTS):
+    def __init__(self, form_A: LiouvilleForm2D, form_B: LiouvilleForm2D):
         self.fA = form_A
         self.fB = form_B
-        self.tol = tol
         self.components = (
             [Component4("vertical", i, fc.area) for i, fc in enumerate(form_A.faces)]
             + [Component4("horizontal", j, fc.area) for j, fc in enumerate(form_B.faces)]

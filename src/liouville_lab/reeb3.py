@@ -21,10 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .config import DEFAULTS, Tolerances
+from .geom import polyline_segments, segments_distance
 from .integrate import rk45
 
 TWO_PI = 2.0 * np.pi
+# ambient distance at which a Reeb chord is accepted
+CHORD_TOL = 1e-5
+# shortest admissible chord time (filters t -> 0 junk)
+CHORD_T_MIN = 1e-3
 
 
 def to_complex(z: np.ndarray) -> np.ndarray:
@@ -173,7 +177,7 @@ class StarshapedHypersurface:
         return y
 
 
-def reeb_field(S: StarshapedHypersurface, z, tol: Tolerances = DEFAULTS) -> np.ndarray:
+def reeb_field(S: StarshapedHypersurface, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if np.any(np.abs(S.H(z) - 1.0) > 1e-6):
         raise ValueError("point does not lie on the hypersurface")
@@ -470,39 +474,22 @@ class ReebChord:
     transversal: bool = True
 
 
-def _target_tree(targets: list) -> tuple:
-    segs_a = []
-    segs_b = []
-    for c in targets:
-        p = c.points
-        if c.closed:
-            q = np.vstack([p, p[:1]])
-        else:
-            q = p
-        segs_a.append(q[:-1])
-        segs_b.append(q[1:])
-    A = np.concatenate(segs_a, axis=0)
-    B = np.concatenate(segs_b, axis=0)
-    mid = 0.5 * (A + B)
-    return cKDTree(mid), A, B
-
-
 def target_distance_factory(targets: list):
-    tree, A, B = _target_tree(targets)
-    kq = min(8, len(A))
+    """Distance to the union of the target curves (a closed curve includes
+    its closing segment): `segments_distance` on the k = 8 segments whose
+    midpoints are nearest to each point. `dist(x)` takes one point and
+    `dist.batch(X)` a batch (N, 4)."""
+    lines = [np.vstack([c.points, c.points[:1]]) if c.closed else c.points
+             for c in targets]
+    a, ab, denom = polyline_segments(lines)
+    tree = cKDTree(np.vstack([0.5 * (q[:-1] + q[1:]) for q in lines]))
+    kq = min(8, len(a))
 
     def dist_batch(X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         _, idx = tree.query(X, k=kq)
         idx = idx.reshape(len(X), -1)
-        a, b = A[idx], B[idx]                      # (N, kq, 4)
-        ab = b - a
-        denom = np.einsum("nkd,nkd->nk", ab, ab)
-        denom[denom == 0] = 1.0
-        tt = np.clip(np.einsum("nkd,nkd->nk", X[:, None, :] - a, ab) / denom,
-                     0.0, 1.0)
-        proj = a + tt[..., None] * ab
-        return np.min(np.linalg.norm(proj - X[:, None, :], axis=2), axis=1)
+        return segments_distance(X, (a[idx], ab[idx], denom[idx]))
 
     def dist(x: np.ndarray) -> float:
         return float(dist_batch(np.asarray(x, dtype=float)[None])[0])
@@ -513,8 +500,7 @@ def target_distance_factory(targets: list):
 
 def chord_search(S: StarshapedHypersurface, source: LegendrianCurve,
                  targets: list, T_max: float, direction: int = 1,
-                 tol: Tolerances = DEFAULTS, n_seed: int = 128,
-                 n_time: int = 192) -> list:
+                 n_seed: int = 128, n_time: int = 192) -> list:
     """Reeb chords from the source curve to the target set.
 
     Integrates the flow from a parameter grid on the source, finds local
@@ -533,8 +519,8 @@ def chord_search(S: StarshapedHypersurface, source: LegendrianCurve,
     # geometric rows at the low end resolve short chords; linear rows cover
     # the bulk of the window
     ts = np.unique(np.concatenate([
-        np.geomspace(tol.chord_t_min, T_max, 48),
-        np.linspace(tol.chord_t_min, T_max, n_time),
+        np.geomspace(CHORD_T_MIN, T_max, 48),
+        np.linspace(CHORD_T_MIN, T_max, n_time),
     ]))
 
     if S.has_closed_form_flow():
@@ -562,7 +548,7 @@ def chord_search(S: StarshapedHypersurface, source: LegendrianCurve,
     cand = cand[np.argsort(D[cand[:, 0], cand[:, 1]])]
 
     def in_window(tt):
-        return (tol.chord_t_min * 0.5 <= tt) & (tt <= T_max * 1.001)
+        return (CHORD_T_MIN * 0.5 <= tt) & (tt <= T_max * 1.001)
 
     def cost(u):
         s_par, tt = u
@@ -609,7 +595,7 @@ def chord_search(S: StarshapedHypersurface, source: LegendrianCurve,
                     best, bs, bt = c[j], ss, row_t[j]
             ws /= 4.0
             wt /= 4.0
-            if best < 0.2 * tol.chord_tol:
+            if best < 0.2 * CHORD_TOL:
                 break
         res = minimize(cost, np.array([bs, bt]), method="Nelder-Mead",
                        options={"xatol": 1e-10, "fatol": 1e-12,
@@ -617,7 +603,7 @@ def chord_search(S: StarshapedHypersurface, source: LegendrianCurve,
         if best < res.fun:
             res.x = np.array([bs, bt])
             res.fun = best
-        if res.fun < tol.chord_tol:
+        if res.fun < CHORD_TOL:
             s_par, T = float(np.mod(res.x[0], 1.0)), float(res.x[1])
             if not (0 < T <= T_max * (1.0 + 1e-6)):
                 continue
@@ -626,7 +612,7 @@ def chord_search(S: StarshapedHypersurface, source: LegendrianCurve,
             dup = any(abs(c.T - T) < 5e-3 and
                       np.linalg.norm(c.start_point - z0) < 5e-2 for c in found)
             if not dup:
-                transversal = _transversality(cost_batch, res.x, tol)
+                transversal = _transversality(cost_batch, res.x)
                 found.append(ReebChord(s_par, z0, T, z1, float(res.fun),
                                        sgn, transversal))
     found.sort(key=lambda c: c.T)
@@ -654,11 +640,11 @@ def _curve_point(curve: LegendrianCurve, s) -> np.ndarray:
     return x
 
 
-def _transversality(cost_batch, x0, tol: Tolerances) -> bool:
+def _transversality(cost_batch, x0) -> bool:
     """Degenerate chords (source sliding inside the target orbit) stay below
     tolerance along a whole t-interval."""
     probes = cost_batch(x0[0], x0[1] + np.array([-0.02, 0.02]))
-    return not np.all(probes < 5.0 * tol.chord_tol)
+    return not np.all(probes < 5.0 * CHORD_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +662,7 @@ class LagrangianTorusSample:
 
 def mohnke_torus(S: StarshapedHypersurface, knot: LegendrianCurve, T: float,
                  eps: float, extra_targets: tuple = (), n_knot: int = 256,
-                 n_gamma: int = 512, tol: Tolerances = DEFAULTS,
+                 n_gamma: int = 512,
                  skip_hypothesis_check: bool = False) -> LagrangianTorusSample:
     """Sample iota(p, tau, t) = sqrt(tau) Phi^t(p) over the knot times a closed
     (tau, t)-curve gamma of enclosed area exactly T inside (0,1] x [0, T+eps].
@@ -686,7 +672,7 @@ def mohnke_torus(S: StarshapedHypersurface, knot: LegendrianCurve, T: float,
     """
     if not skip_hypothesis_check:
         chords = chord_search(S, knot, [knot, *extra_targets], T + eps,
-                              direction=1, tol=tol)
+                              direction=1)
         if chords:
             c = chords[0]
             raise ValueError(

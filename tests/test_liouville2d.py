@@ -239,13 +239,38 @@ def test_face_zone_flow_is_exact_exponential(radial4_form):
     fc = f.faces[0]
     a = fc.area
     t0 = 0.6
-    x = fc.leaf(0.3, t0)
     s = 0.3   # below the finite hitting time -log(1 - t0^2)
-    tr = f.flow(x, s)
-    R_expect = a + (a * t0 * t0 - a) * np.exp(s)
-    end = np.asarray(tr.points[-1][1:])
-    _, t_end = fc.labels(end)
-    assert a * t_end**2 == pytest.approx(R_expect, abs=1e-10)
+    # leaf 0.5 is clear of every chart ball; leaf 0.3 meets one beyond t0
+    for theta, direction, note in ((0.3, 1, "budget exhausted"),
+                                   (0.5, -1, "backward leg complete")):
+        tr = f.flow(fc.leaf(theta, t0), s, direction=direction)
+        R_expect = a + (a * t0 * t0 - a) * np.exp(direction * s)
+        end = np.asarray(tr.points[-1][1:])
+        _, t_end = fc.labels(end)
+        assert a * t_end**2 == pytest.approx(R_expect, abs=1e-10)
+        assert tr.note == note
+
+
+def test_backward_face_leg_stops_at_a_chart_ball(radial4_form):
+    f = radial4_form
+    fc = f.faces[0]
+    theta, t0 = 0.3, 0.6
+    # entry t of the leaf p + t u into the first chart ball beyond t0
+    u = fc.boundary_point(theta) - fc.p
+    entries = []
+    for c in f.charts:
+        v = fc.p - c.center
+        qa, qb, qc = u @ u, 2.0 * (u @ v), v @ v - c.ambient_radius() ** 2
+        disc = qb * qb - 4.0 * qa * qc
+        if disc > 0:
+            entries += [r for r in np.roots([qa, qb, qc]) if r > t0]
+    t_stop = min(entries)
+    assert t_stop < 1.0
+    tr = f.flow(fc.leaf(theta, t0), 20.0, direction=-1)
+    s1, x1 = tr.points[1][0], np.array(tr.points[1][1:])
+    assert s1 == pytest.approx(-np.log((1 - t_stop**2) / (1 - t0**2)), abs=1e-12)
+    assert fc.labels(x1)[1] == pytest.approx(t_stop, rel=1e-8)
+    assert f.chart_at(x1) is not None
 
 
 def test_hit_time_formula(radial4_form):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liouville_lab.geom import polyline_segments, segments_distance
 from liouville_lab.reeb3 import (LegendrianCurve, StarshapedHypersurface,
                                  _curve_point, alpha_st, chord_search,
                                  from_complex, hopf_project, hopf_sweep,
@@ -190,6 +191,29 @@ def test_target_distance_batch_equals_scalar(seed):
     X = surface_samples(ELLIPSOID, 64, seed)
     batch = BARRIER_DIST.batch(X)
     assert all(batch[i] == BARRIER_DIST(x) for i, x in enumerate(X))
+
+
+def test_target_distance_equals_brute_force():
+    # the k = 8 nearest-midpoint candidates hold the nearest segment on the
+    # 20 target sets of criterion 8 (a knot plus a k = 2 or 3 barrier)
+    rng = np.random.default_rng(8)
+    for S in (SPHERE, ELLIPSOID):
+        for k in (2, 3):
+            barrier = legendrian_graph(S, k, n_samples=512)
+            for knot in shipped_knots(S):
+                targets = [knot, *barrier]
+                lines = [np.vstack([c.points, c.points[:1]]) if c.closed
+                         else c.points for c in targets]
+                segs = polyline_segments(lines)
+                on_curves = np.vstack(lines)
+                X = np.vstack([
+                    S.project(rng.normal(size=(64, 4))),
+                    on_curves[rng.integers(len(on_curves), size=64)]
+                    + rng.uniform(-1e-3, 1e-3, size=(64, 4)) / 2.0])
+                brute = np.concatenate([segments_distance(X[i:i + 16], segs)
+                                        for i in range(0, len(X), 16)])
+                got = target_distance_factory(targets).batch(X)
+                assert np.array_equal(got, brute), (S.kind, k, knot.name)
 
 
 def test_target_distance_to_a_single_segment():
