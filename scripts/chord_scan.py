@@ -2,7 +2,7 @@
 """Chord survey: every shipped Legendrian test knot against the quarter-arc
 barrier, both directions, on the round sphere and a non-round ellipsoid.
 
-Writes chords.csv with the best chord per (surface, k, knot, direction).
+Writes chords.csv with the shortest chord per (surface, k, knot, direction).
 """
 
 import csv

@@ -478,18 +478,31 @@ def target_distance_factory(targets: list):
     """Distance to the union of the target curves (a closed curve includes
     its closing segment): `segments_distance` on the k = 8 segments whose
     midpoints are nearest to each point. `dist(x)` takes one point and
-    `dist.batch(X)` a batch (N, 4)."""
+    `dist.batch(X, cap=inf)` a batch (N, 4).
+
+    With a finite `cap` the batch only looks at midpoints within cap + h of
+    each point, h the largest segment half-length, and rows with none get
+    inf. A segment at distance D < cap has its midpoint within D + h, so
+    every value below `cap` is bit-identical to the uncapped one, and every
+    other value is >= cap."""
     lines = [np.vstack([c.points, c.points[:1]]) if c.closed else c.points
              for c in targets]
     a, ab, denom = polyline_segments(lines)
     tree = cKDTree(np.vstack([0.5 * (q[:-1] + q[1:]) for q in lines]))
+    h = 0.5 * float(np.sqrt(np.max(np.einsum("nd,nd->n", ab, ab))))
     kq = min(8, len(a))
 
-    def dist_batch(X: np.ndarray) -> np.ndarray:
+    def dist_batch(X: np.ndarray, cap: float = np.inf) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        _, idx = tree.query(X, k=kq)
+        _, idx = tree.query(X, k=kq, distance_upper_bound=(cap + h) * (1.0 + 1e-9))
         idx = idx.reshape(len(X), -1)
-        return segments_distance(X, (a[idx], ab[idx], denom[idx]))
+        hit = idx[:, 0] < len(a)
+        # a missing neighbour (index len(a)) repeats the row's nearest one,
+        # which leaves the min unchanged
+        idx = np.where(idx < len(a), idx, idx[:, :1])[hit]
+        out = np.full(len(X), np.inf)
+        out[hit] = segments_distance(X[hit], (a[idx], ab[idx], denom[idx]))
+        return out
 
     def dist(x: np.ndarray) -> float:
         return float(dist_batch(np.asarray(x, dtype=float)[None])[0])
@@ -507,6 +520,14 @@ def chord_search(S: StarshapedHypersurface, source: LegendrianCurve,
     minima of the distance-to-target function on the (s, t) grid, and refines
     them below the chord tolerance with a local zoom, evaluated one 7-point
     row at a time, and a Nelder-Mead polish.
+
+    Candidates are polished in order of their grid time, ties by grid
+    distance, and the search stops at the first candidate whose previous
+    grid time exceeds the shortest chord accepted so far: a dip at row i
+    brackets its minimum between rows i - 1 and i + 1, so no later
+    candidate can be shorter. `chords[0]` is thus the shortest chord whose
+    basin the grid sees, whatever the rounding; the list holds the chords
+    found up to that point, sorted by T.
     """
     from scipy.optimize import minimize
 
@@ -536,7 +557,10 @@ def chord_search(S: StarshapedHypersurface, source: LegendrianCurve,
                 t_prev = t
                 grid[i_t, i_s] = cur
 
-    D = dist.batch(grid.reshape(-1, 4)).reshape(grid.shape[:2])
+    # capped at the candidate threshold: a value >= d_cand (or inf) can
+    # neither be a candidate nor make a neighbour one
+    d_cand = 0.25
+    D = dist.batch(grid.reshape(-1, 4), cap=d_cand).reshape(grid.shape[:2])
     # candidates are dips of the distance along each flow line: interior
     # local minima in t (plus the final row when the distance is still
     # falling there). Monotone trivial departures from the source never
@@ -544,8 +568,8 @@ def chord_search(S: StarshapedHypersurface, source: LegendrianCurve,
     local_min = np.zeros_like(D, dtype=bool)
     local_min[1:-1] = (D[1:-1] <= D[:-2]) & (D[1:-1] <= D[2:])
     local_min[-1] = D[-1] < D[-2]
-    cand = np.argwhere(local_min & (D < 0.25))
-    cand = cand[np.argsort(D[cand[:, 0], cand[:, 1]])]
+    cand = np.argwhere(local_min & (D < d_cand))
+    cand = cand[np.lexsort((D[cand[:, 0], cand[:, 1]], cand[:, 0]))]
 
     def in_window(tt):
         return (CHORD_T_MIN * 0.5 <= tt) & (tt <= T_max * 1.001)
@@ -570,8 +594,11 @@ def chord_search(S: StarshapedHypersurface, source: LegendrianCurve,
     found = []
     visited = set()
     n_polish = 0
+    T_best = np.inf
     for (i_t, i_s) in cand:
-        if n_polish >= 48 or len(found) >= 12:
+        # a dip at row i brackets its minimum in (ts[i-1], ts[i+1]), so once
+        # ts[i-1] passes the shortest chord no later candidate is shorter
+        if n_polish >= 48 or len(found) >= 12 or ts[max(i_t - 1, 0)] > T_best:
             break
         key = (i_t // 2, i_s // 3)
         if key in visited:
@@ -612,9 +639,10 @@ def chord_search(S: StarshapedHypersurface, source: LegendrianCurve,
             dup = any(abs(c.T - T) < 5e-3 and
                       np.linalg.norm(c.start_point - z0) < 5e-2 for c in found)
             if not dup:
-                transversal = _transversality(cost_batch, res.x)
+                transversal = _transversality(cost_batch, res.x, in_window)
                 found.append(ReebChord(s_par, z0, T, z1, float(res.fun),
                                        sgn, transversal))
+                T_best = min(T_best, T)
     found.sort(key=lambda c: c.T)
     return found
 
@@ -640,11 +668,14 @@ def _curve_point(curve: LegendrianCurve, s) -> np.ndarray:
     return x
 
 
-def _transversality(cost_batch, x0) -> bool:
+def _transversality(cost_batch, x0, in_window) -> bool:
     """Degenerate chords (source sliding inside the target orbit) stay below
-    tolerance along a whole t-interval."""
-    probes = cost_batch(x0[0], x0[1] + np.array([-0.02, 0.02]))
-    return not np.all(probes < 5.0 * CHORD_TOL)
+    tolerance along a whole t-interval. A probe outside the time window
+    costs 1 + |t| and says nothing, so it is dropped; with no probe left
+    there is no evidence of degeneracy."""
+    tt = x0[1] + np.array([-0.02, 0.02])
+    probes = cost_batch(x0[0], tt[in_window(tt)])
+    return probes.size == 0 or not np.all(probes < 5.0 * CHORD_TOL)
 
 
 # ---------------------------------------------------------------------------

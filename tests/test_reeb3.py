@@ -1,5 +1,7 @@
 """Reeb dynamics: fields, knots, Hopf structures, chords, the torus."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,11 +227,78 @@ def test_target_distance_to_a_single_segment():
     assert dist(ends[1] + [0.0, 0.0, 0.3, 0.0]) == pytest.approx(0.3)
 
 
-def test_degenerate_self_orbit_flagged():
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(1e-6, 0.5))
+def test_capped_target_distance_is_exact_below_the_cap(seed, cap):
+    rng = np.random.default_rng(seed)
+    ends = SPHERE.project(np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 0.1, 0.0, 0.0]]))
+    segment = target_distance_factory([LegendrianCurve("seg", ends, closed=False)])
+    on_S = surface_samples(ELLIPSOID, 32, seed)
+    # 3x a surface point lies about 1 from the targets: no midpoint within
+    # cap + h
+    far = 3.0 * on_S[:16]
+    for dist, pts in ((BARRIER_DIST, CLOSED_KNOT.points), (segment, ends)):
+        near = pts[rng.integers(len(pts), size=32)] + rng.uniform(-1e-3, 1e-3, (32, 4))
+        X = np.vstack([on_S, pts[:8], near, far])
+        full, capped = dist.batch(X), dist.batch(X, cap=cap)
+        below = full < cap
+        assert np.array_equal(capped[below], full[below])
+        assert np.all(capped[~below] >= cap)
+        assert np.all(np.isinf(capped[-len(far):]))
+
+
+@pytest.fixture(scope="module")
+def self_orbit_chords():
     # a Reeb orbit arc used as both source and target: chords at every T
-    cs = chord_search(SPHERE, OPEN_ARC, [OPEN_ARC], T_max=0.15)
-    assert cs
-    assert any(not c.transversal for c in cs)
+    return chord_search(SPHERE, OPEN_ARC, [OPEN_ARC], T_max=0.15)
+
+
+def test_degenerate_self_orbit_flagged(self_orbit_chords):
+    assert self_orbit_chords
+    assert any(not c.transversal for c in self_orbit_chords)
+
+
+def test_short_self_orbit_chords_are_not_transversal(self_orbit_chords):
+    # the arc runs for time 0.2 from s = 0 to 1; a chord (s, T) with 0.02 of
+    # arc left past its end has its T + 0.02 probe on the arc, and its
+    # T - 0.02 probe falls outside the time window when T < 0.02
+    short = [c for c in self_orbit_chords
+             if c.T < 0.02 and 0.2 * (1.0 - c.start_param) - c.T > 0.02]
+    assert short
+    assert not any(c.transversal for c in short)
+
+
+def _turned(curve, a, b):
+    """The curve under (z1, z2) -> (e^{2 pi i a} z1, e^{2 pi i b} z2), a
+    symmetry of the sphere and the ellipsoid that commutes with the Reeb
+    flow."""
+    phase = np.exp(2j * np.pi * np.array([a, b]))
+    return replace(curve, points=from_complex(to_complex(curve.points) * phase),
+                   velocities=from_complex(to_complex(curve.velocities) * phase))
+
+
+def test_shortest_chord_is_invariant_under_quarter_turns():
+    # criterion 8's 40 searches, each also run under one quarter turn of knot
+    # and barrier: the shortest chord must not follow the grid's rounding
+    turns = [(0.25, 0.0), (0.0, 0.25), (0.5, 0.75), (0.25, 0.25)]
+    n = 0
+    for S in (SPHERE, ELLIPSOID):
+        for k in (2, 3):
+            barrier = legendrian_graph(S, k, n_samples=512)
+            for knot in shipped_knots(S):
+                for direction in (1, -1):
+                    a, b = turns[n % len(turns)]
+                    n += 1
+                    T = []
+                    for curves in ([knot, *barrier],
+                                   [_turned(c, a, b) for c in [knot, *barrier]]):
+                        cs = chord_search(S, curves[0], curves,
+                                          T_max=2.0 / k + 1e-3,
+                                          direction=direction, n_seed=96,
+                                          n_time=128)
+                        T.append(cs[0].T)
+                    assert abs(T[0] - T[1]) < 1e-6, (S.kind, k, knot.name,
+                                                     direction, (a, b), T)
 
 
 def test_mohnke_torus_quantities():
