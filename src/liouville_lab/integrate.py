@@ -33,8 +33,12 @@ _P = np.array([
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
 
 
+# step attempts, accepted or rejected, before rk45 gives up
+MAX_ITER = 100000
+
+
 def rk45(f, x0, s_end, atol=1e-9, rtol=1e-9, stop=None, max_step=np.inf,
-         record=None, max_iter=100000):
+         record=None):
     """Integrate dx/ds = f(x) from s=0 to s_end (s_end > 0).
 
     stop(x) > 0 means keep going; the first sign change is localized by
@@ -48,7 +52,7 @@ def rk45(f, x0, s_end, atol=1e-9, rtol=1e-9, stop=None, max_step=np.inf,
     h = min(max_step, s_end / 8 if s_end > 0 else 1e-3, 0.1)
     h = max(h, 1e-12)
     g0 = stop(x) if stop is not None else 1.0
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if s >= s_end:
             return s, x, False
         h = min(h, s_end - s)

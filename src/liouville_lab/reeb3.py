@@ -29,6 +29,8 @@ TWO_PI = 2.0 * np.pi
 CHORD_TOL = 1e-5
 # shortest admissible chord time (filters t -> 0 junk)
 CHORD_T_MIN = 1e-3
+# absolute and relative step tolerance of the numeric Reeb flow
+REEB_ATOL = 1e-11
 
 
 def to_complex(z: np.ndarray) -> np.ndarray:
@@ -139,14 +141,11 @@ class StarshapedHypersurface:
         norm = alpha_st(np.asarray(z, dtype=float), X)
         return X / norm[..., None]
 
-    def has_closed_form_flow(self) -> bool:
-        return self.kind in ("sphere", "ellipsoid")
+    def flow(self, z: np.ndarray, t) -> np.ndarray:
+        """Reeb flow Phi^t(z): closed form on spheres and ellipsoids,
+        otherwise `flow_numeric`.
 
-    def flow(self, z: np.ndarray, t, atol: float = 1e-12) -> np.ndarray:
-        """Reeb flow; closed form on spheres and ellipsoids, otherwise RK
-        per point at tolerance atol.
-
-        t may be a scalar or an array broadcast against leading axes of z.
+        t may be a scalar or an array; z's leading axes and t broadcast.
         """
         z = np.asarray(z, dtype=float)
         t = np.asarray(t, dtype=float)
@@ -157,23 +156,22 @@ class StarshapedHypersurface:
         if self.kind == "ellipsoid":
             a, b = self.params
             w = to_complex(z)
-            out = np.empty_like(w)
-            out[..., 0] = w[..., 0] * np.exp(2j * np.pi * t / a)
+            w1 = w[..., 0] * np.exp(2j * np.pi * t / a)
+            out = np.empty(w1.shape + (2,), dtype=complex)
+            out[..., 0] = w1
             out[..., 1] = w[..., 1] * np.exp(2j * np.pi * t / b)
             return from_complex(out)
-        ts = np.broadcast_to(t, z.shape[:-1]).reshape(-1)
-        out = [self.flow_numeric_single(zz, float(tt), atol)
-               for zz, tt in zip(z.reshape(-1, 4), ts)]
-        return np.reshape(out, z.shape)
+        return self.flow_numeric(z, t)
 
-    def flow_numeric_single(self, z: np.ndarray, t: float,
-                            atol: float = 1e-12) -> np.ndarray:
-        sgn = 1.0 if t >= 0 else -1.0
-
-        def f(y):
-            return sgn * self.reeb(y)
-
-        _, y, _ = rk45(f, np.asarray(z, dtype=float), abs(t), atol=atol, rtol=atol)
+    def flow_numeric(self, z: np.ndarray, t) -> np.ndarray:
+        """Reeb flow of a whole batch in one rk45 run: dz/ds = t R(z) on
+        s in [0, 1], for each row's t of either sign or zero. rk45's error
+        test is the max-norm over the whole state, so every row meets
+        REEB_ATOL."""
+        tt = np.asarray(t, dtype=float)[..., None]
+        z = np.broadcast_to(z, np.broadcast_shapes(np.shape(z), tt.shape))
+        _, y, _ = rk45(lambda y: tt * self.reeb(y), z, 1.0,
+                       atol=REEB_ATOL, rtol=REEB_ATOL)
         return y
 
 
@@ -394,21 +392,17 @@ class SweepResult:
 
 
 def hopf_sweep(k: int, T: float | None = None, n_arc: int = 160,
-               n_time: int = 120, n_test: int = 20000, seed: int = 7,
-               S: StarshapedHypersurface | None = None) -> SweepResult:
+               n_time: int = 120, n_test: int = 20000,
+               seed: int = 7) -> SweepResult:
     """Sample L = union_{t in [0,T]} Phi^{-t}(Lambda_k) on the round sphere and
     count the components of its complement by neighbor-graph connectivity."""
-    if S is None:
-        S = StarshapedHypersurface("sphere")
+    S = StarshapedHypersurface("sphere")
     if T is None:
         T = 1.0 / k
-    arcs = legendrian_graph(S, k, n_samples=n_arc)
+    P = np.stack([arc.points for arc in legendrian_graph(S, k, n_samples=n_arc)])
     ts = np.linspace(0.0, T, n_time)
-    cloud = []
-    for arc in arcs:
-        for t in ts:
-            cloud.append(S.flow(arc.points, -t))
-    L = np.concatenate(cloud, axis=0)
+    # ordered by arc, then time, then point along the arc
+    L = S.flow(P[:, None], -ts[None, :, None]).reshape(-1, 4)
 
     counts = []
     for factor in (1, 2):
@@ -516,10 +510,12 @@ def chord_search(S: StarshapedHypersurface, source: LegendrianCurve,
                  n_seed: int = 128, n_time: int = 192) -> list:
     """Reeb chords from the source curve to the target set.
 
-    Integrates the flow from a parameter grid on the source, finds local
-    minima of the distance-to-target function on the (s, t) grid, and refines
-    them below the chord tolerance with a local zoom, evaluated one 7-point
-    row at a time, and a Nelder-Mead polish.
+    Flows a parameter grid on the source to every grid time in one `S.flow`
+    call, finds local minima of the distance-to-target function on the
+    (s, t) grid, and refines them below the chord tolerance with a local
+    zoom, evaluated one 7-point row (one `S.flow` call) at a time, and a
+    Nelder-Mead polish. Every flow goes through `S.flow`, so a surface
+    without a closed form integrates each call as one batch.
 
     Candidates are polished in order of their grid time, ties by grid
     distance, and the search stops at the first candidate whose previous
@@ -544,18 +540,7 @@ def chord_search(S: StarshapedHypersurface, source: LegendrianCurve,
         np.linspace(CHORD_T_MIN, T_max, n_time),
     ]))
 
-    if S.has_closed_form_flow():
-        grid = S.flow(seeds[None, :, :].repeat(len(ts), axis=0),
-                      np.broadcast_to(sgn * ts[:, None], (len(ts), len(seeds))))
-    else:
-        grid = np.empty((len(ts), len(seeds), 4))
-        for i_s, zz in enumerate(seeds):
-            cur = zz.copy()
-            t_prev = 0.0
-            for i_t, t in enumerate(ts):
-                cur = S.flow_numeric_single(cur, sgn * (t - t_prev), atol=1e-11)
-                t_prev = t
-                grid[i_t, i_s] = cur
+    grid = S.flow(seeds, sgn * ts[:, None])
 
     # capped at the candidate threshold: a value >= d_cand (or inf) can
     # neither be a candidate nor make a neighbour one
@@ -579,7 +564,7 @@ def chord_search(S: StarshapedHypersurface, source: LegendrianCurve,
         if not in_window(tt):
             return 1.0 + abs(tt)
         zz = _curve_point(source, s_par)
-        return dist(S.flow(zz, sgn * tt, atol=1e-11))
+        return dist(S.flow(zz, sgn * tt))
 
     def cost_batch(ss, tt):
         """cost at the points (ss, tt), ss broadcast against the array tt."""
@@ -588,7 +573,7 @@ def chord_search(S: StarshapedHypersurface, source: LegendrianCurve,
         ok = in_window(tt)
         if ok.any():
             zz = _curve_point(source, ss[ok])
-            out[ok] = dist.batch(S.flow(zz, sgn * tt[ok], atol=1e-11))
+            out[ok] = dist.batch(S.flow(zz, sgn * tt[ok]))
         return out
 
     found = []
@@ -635,7 +620,7 @@ def chord_search(S: StarshapedHypersurface, source: LegendrianCurve,
             if not (0 < T <= T_max * (1.0 + 1e-6)):
                 continue
             z0 = _curve_point(source, s_par)
-            z1 = S.flow(z0, sgn * T, atol=1e-11)
+            z1 = S.flow(z0, sgn * T)
             dup = any(abs(c.T - T) < 5e-3 and
                       np.linalg.norm(c.start_point - z0) < 5e-2 for c in found)
             if not dup:
@@ -672,8 +657,12 @@ def _transversality(cost_batch, x0, in_window) -> bool:
     """Degenerate chords (source sliding inside the target orbit) stay below
     tolerance along a whole t-interval. A probe outside the time window
     costs 1 + |t| and says nothing, so it is dropped; with no probe left
-    there is no evidence of degeneracy."""
-    tt = x0[1] + np.array([-0.02, 0.02])
+    there is no evidence of degeneracy. The probes sit min(0.02, T/2) on
+    either side of T: a chord with T >= CHORD_T_MIN keeps its lower probe
+    in the window, and a short chord's upper probe stays within T/2 of it,
+    short of the end of an open target arc."""
+    dt = min(0.02, 0.5 * x0[1])
+    tt = x0[1] + np.array([-dt, dt])
     probes = cost_batch(x0[0], tt[in_window(tt)])
     return probes.size == 0 or not np.all(probes < 5.0 * CHORD_TOL)
 
@@ -723,9 +712,7 @@ def mohnke_torus(S: StarshapedHypersurface, knot: LegendrianCurve, T: float,
     base = knot.points[::stride]
     n_knot = len(base)
 
-    pts = np.empty((n_knot, n_gamma, 4))
-    for ig in range(n_gamma):
-        pts[:, ig, :] = np.sqrt(taus[ig]) * S.flow(base, tts[ig])
+    pts = np.sqrt(taus)[:, None] * S.flow(base[:, None], tts)
 
     # generator actions by quadrature of alpha_st over the two embedded loops
     knot_loop = pts[:, 0, :]

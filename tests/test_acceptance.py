@@ -259,7 +259,7 @@ def test_criterion_7_hopf_battery():
     z = S.project(rng.normal(size=(12, 4)))
     worst_period = 0.0
     for zz in z:
-        num = S.flow_numeric_single(zz, 1.0)
+        num = S.flow_numeric(zz, 1.0)
         worst_period = max(worst_period, float(np.linalg.norm(num - zz)))
         closed = S.flow(zz, 1.0)
         worst_period = max(worst_period, float(np.linalg.norm(closed - zz)))
@@ -273,7 +273,7 @@ def test_criterion_7_hopf_battery():
             worst_cyclic = max(worst_cyclic, float(np.abs(moved - target).max()))
     # one numeric cross-check of the cyclic action
     a01 = reeb3.legendrian_graph(S, 3, n_samples=32)[1]
-    num_moved = np.stack([S.flow_numeric_single(p, 1.0 / 3)
+    num_moved = np.stack([S.flow_numeric(p, 1.0 / 3)
                           for p in a01.points[::8]])
     worst_cyclic = max(worst_cyclic, float(np.abs(
         num_moved - S.flow(a01.points[::8], 1.0 / 3)).max()))

@@ -9,6 +9,7 @@ its counters see the chord search's work where the program puts it.
 import sys
 from pathlib import Path
 
+import numpy as np
 import scipy.optimize
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -96,3 +97,22 @@ def test_grid_distance_measures_few_segments():
     assert counts["grid2d.grid_distance.calls"] == 1
     assert counts["geom.segments_distance.calls"] == 1
     assert 0 < counts["geom.segments_distance.pairs"] < 0.01 * n_segments
+
+
+def test_numeric_reeb_flow_is_one_rk45_run():
+    # a surface without a closed-form flow integrates the whole batch at once
+    lib, Tracer = _load()
+    reeb3 = lib.reeb3
+    S = reeb3.StarshapedHypersurface("bumped", (0.15,))
+    z = S.project(np.random.default_rng(2).normal(size=(6, 4)))
+    tracer = Tracer()
+    try:
+        tracer.install(lib)
+        out = S.flow(z, np.linspace(-0.4, 0.4, 6))
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts
+    assert out.shape == z.shape
+    assert counts["reeb3.flow.calls"] == 1
+    assert counts["reeb3.flow.points"] == 6
+    assert counts["integrate.rk45.calls"] == 1

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liouville_lab.geom import polyline_segments, segments_distance
-from liouville_lab.reeb3 import (LegendrianCurve, StarshapedHypersurface,
-                                 _curve_point, alpha_st, chord_search,
-                                 from_complex, hopf_project, hopf_sweep,
+from liouville_lab.reeb3 import (CHORD_TOL, LegendrianCurve,
+                                 StarshapedHypersurface, _curve_point,
+                                 alpha_st, chord_search, from_complex,
+                                 hopf_project, hopf_sweep,
                                  legendrian_graph, legendrian_great_circle,
                                  mohnke_torus, omega_st, reeb_field,
                                  shipped_knots, spherical_polygon_area,
@@ -62,8 +63,39 @@ def test_round_sphere_hopf_flow():
     assert np.abs(SPHERE.flow(z0, 1.0) - z0).max() < 1e-15
     # numeric integration agrees to 1e-9 over one period
     for zz in z[:4]:
-        num = SPHERE.flow_numeric_single(zz, 1.0)
+        num = SPHERE.flow_numeric(zz, 1.0)
         assert np.linalg.norm(num - zz) < 1e-9
+
+
+def test_flow_broadcasts_t_beyond_z():
+    # t's axis beyond z's leading ones: closed forms bit for bit, the numeric
+    # flow within 1e-9 of its one-point calls
+    t = np.array([-0.3, 0.0, 0.25, 0.7])
+    for S in (SPHERE, ELLIPSOID, BUMPED):
+        z = surface_samples(S, 3, seed=4)
+        grid = S.flow(z[:, None], t[None, :])
+        assert grid.shape == (3, 4, 4)
+        single = np.array([[S.flow(zi, ti) for ti in t] for zi in z])
+        if S is BUMPED:
+            assert np.abs(grid - single).max() < 1e-9
+        else:
+            assert np.array_equal(grid, single), S.kind
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.floats(-0.6, 0.6), min_size=1, max_size=5))
+def test_flow_numeric_batch_equals_single_calls(seed, t):
+    n = len(t)
+    t = np.array(t)
+    for S in (SPHERE, ELLIPSOID, BUMPED):
+        z = surface_samples(S, n, seed)
+        batch = S.flow_numeric(z, t)
+        for i in range(n):
+            assert np.abs(batch[i] - S.flow_numeric(z[i], t[i])).max() < 1e-9
+        assert np.array_equal(S.flow_numeric(z, np.zeros(n)), z)
+        if S is not BUMPED:
+            assert np.abs(batch - S.flow(z, t)).max() < 1e-9
 
 
 def test_ellipsoid_orbit_periods():
@@ -259,13 +291,31 @@ def test_degenerate_self_orbit_flagged(self_orbit_chords):
 
 
 def test_short_self_orbit_chords_are_not_transversal(self_orbit_chords):
-    # the arc runs for time 0.2 from s = 0 to 1; a chord (s, T) with 0.02 of
-    # arc left past its end has its T + 0.02 probe on the arc, and its
-    # T - 0.02 probe falls outside the time window when T < 0.02
+    # the arc runs for time 0.2 from s = 0 to 1; a chord (s, T) with T < 0.02
+    # is probed at T/2 and 3T/2, so with more than T/2 of arc left past its
+    # end both probes lie on the arc
     short = [c for c in self_orbit_chords
-             if c.T < 0.02 and 0.2 * (1.0 - c.start_param) - c.T > 0.02]
+             if c.T < 0.02 and 0.2 * (1.0 - c.start_param) - c.T > 0.5 * c.T]
     assert short
-    assert not any(c.transversal for c in short)
+    assert not any(c.transversal for c in short), [
+        (c.start_param, c.T) for c in short if c.transversal]
+
+
+def test_chord_search_on_a_surface_without_closed_form_flow():
+    # the bumped sphere flows numerically: every chord found must end on the
+    # level set, on a target, and flow back to its start
+    knot = legendrian_great_circle(BUMPED)
+    targets = [knot, *legendrian_graph(BUMPED, 3, n_samples=512)]
+    chords = chord_search(BUMPED, knot, targets, T_max=2 / 3 + 1e-3,
+                          direction=1, n_seed=24, n_time=32)
+    assert chords
+    lines = [np.vstack([c.points, c.points[:1]]) if c.closed else c.points
+             for c in targets]
+    segs = polyline_segments(lines)
+    for c in chords:
+        assert abs(BUMPED.H(c.end_point) - 1.0) < 1e-9
+        assert segments_distance(c.end_point[None], segs)[0] < CHORD_TOL
+        assert np.abs(BUMPED.flow(c.end_point, -c.T) - c.start_point).max() < 1e-8
 
 
 def _turned(curve, a, b):
