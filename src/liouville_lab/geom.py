@@ -58,12 +58,16 @@ class SegmentIndex:
     """Exact nearest-segment queries on the segments of `polyline_segments`:
     a k-d tree over their midpoints plus the largest half-length h.
 
-    A segment at distance D from a point has its midpoint within D + h of it,
-    and D is at most the distance to the nearest midpoint, so a ball of
-    radius (nearest midpoint distance + h) holds every segment that can be
-    nearest; the relative pad only adds candidates under rounding. The
-    candidates go through `segments_distance`, so the result is bit-identical
-    to measuring against every segment."""
+    A segment at distance D from a point has its midpoint within D + h of it.
+    So if the segments with a midpoint in a ball of radius r about the points
+    are at best D away, and D + h <= r, no segment outside the ball is
+    nearer and D is exact. `distance` starts with r = 4h, which settles any
+    point within 3h of the segments with one ball query, and otherwise widens
+    the ball to U + h for an upper bound U on the distance: D when the ball
+    held a segment, the nearest midpoint distance when it was empty. The
+    relative pad only adds candidates under rounding. The candidates go
+    through `segments_distance`, so the result is bit-identical to measuring
+    against every segment."""
 
     def __init__(self, segs: tuple):
         a, ab, _ = segs
@@ -74,12 +78,22 @@ class SegmentIndex:
     def distance(self, p) -> float:
         """Smallest distance from the points p (m, d) to the segments."""
         p = np.asarray(p, dtype=float).reshape(-1, self.tree.m)
-        d1, _ = self.tree.query(p, k=1)
-        r = (float(np.min(d1)) + self.h) * (1.0 + 1e-9)
-        near = self.tree.query_ball_point(p, r, return_sorted=False)
-        cand = np.fromiter(set().union(*near), dtype=np.intp)
         a, ab, denom = self.segs
-        return float(np.min(segments_distance(p, (a[cand], ab[cand], denom[cand]))))
+        r = 4.0 * self.h
+        while True:
+            near = self.tree.query_ball_point(p, r, return_sorted=False)
+            cand = np.fromiter(set().union(*near), dtype=np.intp)
+            if not len(cand):
+                # the nearest midpoint's distance bounds the distance
+                d1, _ = self.tree.query(p, k=1)
+                r = (float(np.min(d1)) + self.h) * (1.0 + 1e-9)
+                continue
+            d = float(np.min(segments_distance(
+                p, (a[cand], ab[cand], denom[cand]))))
+            reach = (d + self.h) * (1.0 + 1e-9)
+            if reach <= r:
+                return d
+            r = reach
 
 
 def gauss_legendre(n: int):

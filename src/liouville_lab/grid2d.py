@@ -24,6 +24,9 @@ ARC_RESOLUTION = 256  # default samples per arc
 REGULAR_SECTOR = 1e-3
 # relative distance from the boundary circle within which a vertex lies on it
 BOUNDARY_REL = 1e-7
+# offsets, in periods, of the nine periodic images of a wrapped point
+_PERIODIC_IMAGES = np.array([[dx, dy] for dx in (-1.0, 0.0, 1.0)
+                              for dy in (-1.0, 0.0, 1.0)])
 
 
 class GridError(ValueError):
@@ -201,9 +204,7 @@ class Grid:
         if self.periodic:
             # the nine periodic images of the wrapped point
             N = self.period
-            x = np.mod(x, N)
-            x = x + N * np.array([[dx, dy] for dx in (-1.0, 0.0, 1.0)
-                                  for dy in (-1.0, 0.0, 1.0)])
+            x = np.mod(x, N) + N * _PERIODIC_IMAGES
         return self._index.distance(x)
 
     # -- io ------------------------------------------------------------------

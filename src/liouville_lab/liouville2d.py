@@ -26,6 +26,7 @@ the seam.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +63,15 @@ class DomainError(ValueError):
 # face charts: straight-leaf foliation with exact area bookkeeping
 # ---------------------------------------------------------------------------
 
+def _polyval(x: float, c: list) -> float:
+    """`P.polyval(x, c)` for one point and a list of lowest-first
+    coefficients, by Horner's rule in `P.polyval`'s operation order."""
+    y = c[-1] + x * 0
+    for a in c[-2::-1]:
+        y = a + y * x
+    return y
+
+
 @dataclass
 class FaceChart:
     """Leaf coordinates (theta, t) on one face, theta in [0,1), t in [0,1]."""
@@ -89,11 +99,12 @@ class FaceChart:
 
     def r_of_phi(self, ph: float) -> float:
         j, ph = self._interval_of_phi(ph)
-        return float(P.polyval(ph - self.phi[j], self.r_coef[j]))
+        return _polyval(float(ph - self.phi[j]), self.r_coef[j].tolist())
 
     def theta_of_phi(self, ph: float) -> float:
         j, ph = self._interval_of_phi(ph)
-        s = self.s_knots[j] + P.polyval(ph - self.phi[j], self.s_coef[j])
+        s = self.s_knots[j] + _polyval(float(ph - self.phi[j]),
+                                       self.s_coef[j].tolist())
         return float(s / self.area)
 
     def phi_of_theta(self, theta: float) -> float:
@@ -101,17 +112,17 @@ class FaceChart:
         target = theta * self.area
         j = int(np.searchsorted(self.s_knots, target, side="right")) - 1
         j = min(max(j, 0), len(self.phi) - 2)
-        lo, hi = 0.0, self.phi[j + 1] - self.phi[j]
-        goal = target - self.s_knots[j]
-        c = self.s_coef[j]
+        lo, hi = 0.0, float(self.phi[j + 1] - self.phi[j])
+        goal = float(target - self.s_knots[j])
+        c, rc = self.s_coef[j].tolist(), self.r_coef[j].tolist()
         s = 0.5 * (lo + hi)
         for _ in range(60):
-            f = P.polyval(s, c) - goal
+            f = _polyval(s, c) - goal
             if f > 0:
                 hi = s
             else:
                 lo = s
-            df = 0.5 * P.polyval(s, self.r_coef[j]) ** 2
+            df = 0.5 * _polyval(s, rc) ** 2
             step = f / df if df > 0 else 0.0
             cand = s - step
             s = cand if lo < cand < hi else 0.5 * (lo + hi)
@@ -128,9 +139,9 @@ class FaceChart:
         """du/dtheta of u(theta) = B(theta) - p."""
         ph = self.phi_of_theta(theta)
         j, ph = self._interval_of_phi(ph)
-        s = ph - self.phi[j]
-        r = float(P.polyval(s, self.r_coef[j]))
-        dr = float(P.polyval(s, self.dr_coef[j]))
+        s = float(ph - self.phi[j])
+        r = _polyval(s, self.r_coef[j].tolist())
+        dr = _polyval(s, self.dr_coef[j].tolist())
         e = np.array([np.cos(ph), np.sin(ph)])
         dphi_dtheta = 2.0 * self.area / (r * r)
         return dphi_dtheta * (dr * e + r * perp(e))
@@ -382,8 +393,8 @@ class VertexChart:
         model form is R-dot dtheta - theta-dot dR."""
         m = self.mult
         ang = TWO_PI * m * th
-        return np.array([R - self.chi(R) * np.cos(ang),
-                         self.chi_prime(R) * np.sin(ang) / (TWO_PI * m)])
+        return np.array([R - self.chi(R) * math.cos(ang),
+                         self.chi_prime(R) * math.sin(ang) / (TWO_PI * m)])
 
     def lam(self, x: np.ndarray, grid: Grid) -> np.ndarray:
         R, th, s = self.chart_coords(x, grid)
@@ -421,18 +432,18 @@ class VertexChart:
 
     def chart_to_ambient(self, R: float, th: float, grid: Grid) -> np.ndarray:
         """Inverse of chart_coords (modulo periodic wrapping)."""
-        r = np.sqrt(max(R, 0.0) / np.pi)
+        r = math.sqrt(max(R, 0.0) / np.pi)
         if not self.boundary:
             ang = self.rotation + TWO_PI * th
-            return self.center + r * np.array([np.cos(ang), np.sin(ang)])
-        xt = r * np.cos(TWO_PI * th)
-        yt = r * np.sin(TWO_PI * th)
+            return self.center + r * np.array([math.cos(ang), math.sin(ang)])
+        xt = r * math.cos(TWO_PI * th)
+        yt = r * math.sin(TWO_PI * th)
         c = self.collar_scale
         th_q = np.arctan2(self.center[1], self.center[0])
         th_d = th_q + TWO_PI * (xt / c)
         R_d = self.disc_R - c * yt
-        rr = np.sqrt(max(R_d, 0.0) / np.pi)
-        return rr * np.array([np.cos(th_d), np.sin(th_d)])
+        rr = math.sqrt(max(R_d, 0.0) / np.pi)
+        return rr * np.array([math.cos(th_d), math.sin(th_d)])
 
     def branch_turns(self) -> np.ndarray:
         """Chart angles (in turns) of the model branches."""

@@ -98,15 +98,14 @@ class StarshapedHypersurface:
             return out
         if self.kind == "bumped":
             c, = self.params
-            r2 = np.sum(z * z, axis=-1, keepdims=True)
-            q1 = (z[..., 0] ** 2 + z[..., 1] ** 2)[..., None]
-            q2 = (z[..., 2] ** 2 + z[..., 3] ** 2)[..., None]
-            g = 2.0 * z.copy()
-            gb = np.zeros_like(z)
-            gb[..., :2] = 2.0 * z[..., :2] * q2[..., 0][..., None]
-            gb[..., 2:] = 2.0 * z[..., 2:] * q1[..., 0][..., None]
-            gb = gb / r2 - 2.0 * z * (q1 * q2) / (r2 * r2)
-            return np.pi * (g + c * gb)
+            zz = z * z
+            r2 = np.sum(zz, axis=-1, keepdims=True)
+            q1 = zz[..., 0] + zz[..., 1]
+            q2 = zz[..., 2] + zz[..., 3]
+            tz = 2.0 * z
+            gb = (tz * np.stack([q2, q2, q1, q1], axis=-1) / r2
+                  - tz * (q1 * q2)[..., None] / (r2 * r2))
+            return np.pi * (tz + c * gb)
         raise ValueError(self.kind)
 
     def project(self, z: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liouville_lab.geom import (SegmentIndex, polyline_segments,
@@ -216,17 +216,23 @@ def _brute_grid_distance(g: Grid, x) -> float:
 
 
 def _draw_point(draw, polylines, size: float, center) -> np.ndarray:
-    """A point inside the domain, on a polyline vertex, on a segment, or far
-    outside."""
+    """A point inside the domain, on a polyline vertex, on a segment, up to
+    distance 1 beyond the domain's edge, or far outside."""
     unit = st.floats(0.0, 1.0)
-    kind = draw(st.sampled_from(["inside", "vertex", "segment", "far"]))
+    kind = draw(st.sampled_from(["inside", "vertex", "segment", "beyond",
+                                 "far"]))
     if kind in ("vertex", "segment"):
         pts = polylines[draw(st.integers(0, len(polylines) - 1))]
         i = draw(st.integers(0, len(pts) - 2))
         w = draw(unit) if kind == "segment" else 0.0
         return (1.0 - w) * pts[i] + w * pts[i + 1]
     ang = 2.0 * np.pi * draw(unit)
-    r = size * (draw(unit) if kind == "inside" else draw(st.floats(2.0, 50.0)))
+    if kind == "inside":
+        r = size * draw(unit)
+    elif kind == "beyond":
+        r = size + draw(unit)
+    else:
+        r = size * draw(st.floats(2.0, 50.0))
     return center + r * np.array([np.cos(ang), np.sin(ang)])
 
 
@@ -243,6 +249,12 @@ def _grid_and_point(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_grid_and_point())
+# beyond 3h of the grid: the first ball of the index's query (radius 4h) is
+# empty, so it widens; a marked point of periodic:2 is 0.5 from the grid
+@example(("radial:4", np.array([1.2, 0.9])))
+@example(("pinwheel", np.array([0.0, -1.5])))
+@example(("periodic:2", np.array([0.5, 0.5])))
+@example(("periodic:2", np.array([-2.7, 9.3])))
 def test_grid_distance_equals_brute_force(grid_and_point):
     name, x = grid_and_point
     g = DISTANCE_GRIDS[name]
@@ -267,3 +279,20 @@ def test_segment_index_with_a_zero_length_segment(data):
         d = index.distance(p)
         ref = float(np.min(segments_distance(p, segs)))
         assert np.float64(d).tobytes() == np.float64(ref).tobytes(), (p, d, ref)
+
+
+# one long segment (half-length h = 1) and a short one: from (4.2, 0) the
+# short segment lies in the first ball (radius 4h) at 3.9, but the long one,
+# 3.2 away, has its midpoint 4.2 away, outside that ball; the index must
+# widen the ball to find it. The other points leave the first ball empty.
+LONG_AND_SHORT = [np.array([[-1.0, 0.0], [1.0, 0.0]]),
+                  np.array([[4.2, 3.9], [4.2, 3.95]])]
+
+
+@pytest.mark.parametrize("p", [[4.2, 0.0], [20.0, 0.0], [0.0, -30.0],
+                               [[4.2, 0.0], [40.0, 40.0]]])
+def test_segment_index_widens_its_ball(p):
+    segs = polyline_segments(LONG_AND_SHORT)
+    d = SegmentIndex(segs).distance(p)
+    ref = float(np.min(segments_distance(p, segs)))
+    assert np.float64(d).tobytes() == np.float64(ref).tobytes(), (p, d, ref)

@@ -162,11 +162,57 @@ def test_smoothed_vertex_chart_formula(radial4_form):
     assert abs(X[1]) < 1e-12 and X[0] > 0
 
 
+def _leaf_maps_by_polyval(fc, ph: float, theta: float) -> tuple:
+    """r_of_phi(ph), theta_of_phi(ph), phi_of_theta(theta) and
+    boundary_velocity(theta) of a face chart, evaluated with `P.polyval`."""
+    def interval(ph):
+        ph = fc.phi[0] + np.mod(ph - fc.phi[0], 2 * np.pi)
+        j = int(np.searchsorted(fc.phi, ph, side="right")) - 1
+        return min(max(j, 0), len(fc.phi) - 2), ph
+
+    j, q = interval(ph)
+    r = float(P.polyval(q - fc.phi[j], fc.r_coef[j]))
+    th = float((fc.s_knots[j] + P.polyval(q - fc.phi[j], fc.s_coef[j])) / fc.area)
+    target = np.mod(theta, 1.0) * fc.area
+    k = int(np.searchsorted(fc.s_knots, target, side="right")) - 1
+    k = min(max(k, 0), len(fc.phi) - 2)
+    lo, hi = 0.0, fc.phi[k + 1] - fc.phi[k]
+    goal = target - fc.s_knots[k]
+    s = 0.5 * (lo + hi)
+    for _ in range(60):
+        f = P.polyval(s, fc.s_coef[k]) - goal
+        if f > 0:
+            hi = s
+        else:
+            lo = s
+        df = 0.5 * P.polyval(s, fc.r_coef[k]) ** 2
+        step = f / df if df > 0 else 0.0
+        cand = s - step
+        s = cand if lo < cand < hi else 0.5 * (lo + hi)
+        if hi - lo < 1e-15 * max(1.0, hi):
+            break
+    phi = float(fc.phi[k] + s)
+    j, q = interval(phi)
+    rb = float(P.polyval(q - fc.phi[j], fc.r_coef[j]))
+    drb = float(P.polyval(q - fc.phi[j], P.polyder(fc.r_coef[j])))
+    e = np.array([np.cos(q), np.sin(q)])
+    vel = 2.0 * fc.area / (rb * rb) * (drb * e + rb * np.array([-e[1], e[0]]))
+    return r, th, phi, vel
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_chi_horner_equals_polyval(radial4_form, pinwheel_form, periodic_form, data):
-    charts = [c for f in (radial4_form, pinwheel_form, periodic_form)
-              for c in f.charts]
+    forms = (radial4_form, pinwheel_form, periodic_form)
+    faces = [fc for f in forms for fc in f.faces]
+    fc = faces[data.draw(st.integers(0, len(faces) - 1))]
+    ph = data.draw(st.floats(-2 * np.pi, 4 * np.pi))
+    theta = data.draw(st.floats(-1.0, 2.0))
+    r, th, phi, vel = _leaf_maps_by_polyval(fc, ph, theta)
+    assert (fc.r_of_phi(ph), fc.theta_of_phi(ph), fc.phi_of_theta(theta)) == (r, th, phi)
+    assert fc.boundary_velocity(theta).tobytes() == vel.tobytes()
+
+    charts = [c for f in forms for c in f.charts]
     chart = charts[data.draw(st.integers(0, len(charts) - 1))]
     e, m = chart.eps, chart.mult
     R = data.draw(st.floats(0.0, 2.0 * e))
@@ -387,6 +433,22 @@ def test_rk45_propagates_field_bugs():
 
     with pytest.raises(TypeError, match="a bug in the field"):
         rk45(f, [1.0], 1.0)
+
+
+@pytest.mark.parametrize("value", [np.zeros(3), np.zeros(1), 0.0,
+                                   np.zeros((2, 2))])
+def test_rk45_rejects_a_field_value_of_the_wrong_shape(value):
+    # a shape bug in the field is not a domain error: it raises at once
+    # instead of halving the step
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return value
+
+    with pytest.raises(ValueError, match="shape"):
+        rk45(f, [1.0, 0.0], 1.0)
+    assert len(calls) == 1
 
 
 def test_rk45_halves_the_step_at_domain_errors():
