@@ -398,8 +398,7 @@ def chekanov_excluded(A_min: float, a: float, b: float) -> bool:
 # ---------------------------------------------------------------------------
 
 def verify_flux_identity(annulus_area: float, period: float, t: float,
-                         loop: np.ndarray | None = None, n_gauss: int = 512,
-                         n_steps: int = 400) -> float:
+                         loop: np.ndarray | None = None, n_steps: int = 400) -> float:
     """Residual of int_{phi^t gamma} alpha' - int_gamma alpha' - t int_gamma theta.
 
     The model annulus is {r1 < |x| < r2} in the plane with alpha' the standard

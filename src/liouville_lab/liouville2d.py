@@ -160,14 +160,8 @@ class FaceChart:
         rb = self.r_of_phi(ph)
         return self.theta_of_phi(ph), r / rb
 
-    def lam(self, x: np.ndarray) -> np.ndarray:
-        _, t = self.labels(x)
-        if t == 0.0:
-            raise DomainError("lambda is singular at the marked point")
-        return ((t * t - 1.0) / (2.0 * t * t)) * perp(x - self.p)
-
-    def X(self, x: np.ndarray) -> np.ndarray:
-        _, t = self.labels(x)
+    def X(self, x: np.ndarray, t: float) -> np.ndarray:
+        """X at a point x of this face whose leaf label is t."""
         if t == 0.0:
             return np.zeros(2)
         return ((t * t - 1.0) / (2.0 * t * t)) * (x - self.p)
@@ -396,15 +390,6 @@ class VertexChart:
         return np.array([R - self.chi(R) * math.cos(ang),
                          self.chi_prime(R) * math.sin(ang) / (TWO_PI * m)])
 
-    def lam(self, x: np.ndarray, grid: Grid) -> np.ndarray:
-        R, th, s = self.chart_coords(x, grid)
-        r2 = float(s @ s)
-        if r2 == 0.0:
-            return np.zeros(2)
-        vR, vth = self.model_field(R, th)
-        lam = vR * perp(s) / (TWO_PI * r2) - vth * TWO_PI * s
-        return self._pullback_covector(x, lam) if self.boundary else lam
-
     def X(self, x: np.ndarray, grid: Grid) -> np.ndarray:
         R, th, s = self.chart_coords(x, grid)
         if R <= 0.0:
@@ -422,13 +407,6 @@ class VertexChart:
         a = -c * w_t[1] / (TWO_PI * r)
         b = TWO_PI * r * w_t[0] / c
         return a * xhat + b * perp(xhat)
-
-    def _pullback_covector(self, x: np.ndarray, lam_t: np.ndarray) -> np.ndarray:
-        c = self.collar_scale
-        r2 = float(x @ x)
-        dxt = c * perp(x) / (TWO_PI * r2)
-        dyt = -TWO_PI * x / c
-        return lam_t[0] * dxt + lam_t[1] * dyt
 
     def chart_to_ambient(self, R: float, th: float, grid: Grid) -> np.ndarray:
         """Inverse of chart_coords (modulo periodic wrapping)."""
@@ -466,9 +444,9 @@ class Trajectory:
 
 
 class LiouvilleForm2D:
-    """Grid + foliation + smoothing; evaluators for lambda and X."""
+    """Grid + foliation + smoothing; evaluators for X and lambda = iota_X omega."""
 
-    def __init__(self, grid: Grid, smoothing: bool = True):
+    def __init__(self, grid: Grid):
         cert = validate_regular(grid)
         if not cert.ok:
             off = cert.offender_entry()
@@ -476,7 +454,6 @@ class LiouvilleForm2D:
                 f"vertex {cert.offender} has no equal-sector chart "
                 f"(sector angles {off.sector_angles})")
         self.grid = grid
-        self.smoothing = smoothing
         self.cert = cert
 
         # non-smooth points of the grid: interior branch points and boundary
@@ -503,8 +480,7 @@ class LiouvilleForm2D:
         return x
 
     def chart_at(self, x: np.ndarray) -> VertexChart | None:
-        """The vertex chart whose ball contains x. Before smoothing the form
-        is not defined there."""
+        """The vertex chart whose ball contains x."""
         x = np.asarray(x, dtype=float)
         for c in self.charts:
             if c.contains(x, self.grid):
@@ -533,36 +509,31 @@ class LiouvilleForm2D:
 
     # -- evaluators ------------------------------------------------------------
     def eval_lambda(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        c = self._smoothed_chart_at(x)
-        if c is not None:
-            return c.lam(self.wrap(x), self.grid)
-        i, th, t = self.face_at(x)
-        fc = self.faces[i]
-        xx = self._face_local(fc, x)
+        """lambda = iota_X omega, which for omega = dx ^ dy is perp(X)."""
+        X, t = self._field(x)
         if t < 1e-7:
             raise DomainError("lambda is singular at a marked point")
-        return fc.lam(xx)
+        return perp(X)
 
     def eval_X(self, x) -> np.ndarray:
+        return self._field(x)[0]
+
+    def _field(self, x) -> tuple:
+        """(X at x, the leaf label t of x; inf inside a vertex chart)."""
         x = np.asarray(x, dtype=float)
-        c = self._smoothed_chart_at(x)
+        c = self.chart_at(x)
         if c is not None:
-            return c.X(self.wrap(x), self.grid)
-        i, th, t = self.face_at(x)
+            return c.X(self.wrap(x), self.grid), np.inf
+        i, _, t = self.face_at(x)
         fc = self.faces[i]
-        return fc.X(self._face_local(fc, x))
+        # the point face_at labelled: x itself, or on a periodic grid the
+        # image of wrap(x) nearest to p
+        return fc.X(self._face_local(fc, self.wrap(x)), t), t
 
     def _face_local(self, fc: FaceChart, x: np.ndarray) -> np.ndarray:
         if self.grid.periodic:
             return fc.p + min_image(np.asarray(x) - fc.p, self.grid.period)
         return np.asarray(x, dtype=float)
-
-    def _smoothed_chart_at(self, x) -> VertexChart | None:
-        c = self.chart_at(x)
-        if c is not None and not self.smoothing:
-            raise DomainError("evaluation at a singular vertex before smoothing")
-        return c
 
     def residue_loop_integral(self, face: int, rho: float, n: int = 512) -> float:
         """Quadrature of the loop integral of lambda on {R~ = rho} around p."""
@@ -577,7 +548,7 @@ class LiouvilleForm2D:
         for th in thetas:
             x = fc.leaf(th, t)
             dx = t * fc.boundary_velocity(th)
-            total += float(fc.lam(x) @ dx)
+            total += float(perp(fc.X(x, fc.labels(x)[1])) @ dx)
         return total / n
 
     def _leaf_clearance(self, fc: FaceChart) -> float:
@@ -609,7 +580,7 @@ class LiouvilleForm2D:
         conv_t = np.sqrt(CONVERGENCE_R)
         while s < t_max and guard < 400:
             guard += 1
-            c = self.chart_at(x) if self.smoothing else None
+            c = self.chart_at(x)
             if c is not None:
                 s, x, exited = self._chart_leg(c, x, s, t_max, direction, pts)
                 if not exited and s < t_max:
@@ -843,8 +814,8 @@ def _chart_reach(grid: Grid, vi: int, marked) -> float:
 # spec-level operations
 # ---------------------------------------------------------------------------
 
-def build_form(grid: Grid, smoothing: bool = True) -> LiouvilleForm2D:
-    return LiouvilleForm2D(grid, smoothing)
+def build_form(grid: Grid) -> LiouvilleForm2D:
+    return LiouvilleForm2D(grid)
 
 
 # ---------------------------------------------------------------------------

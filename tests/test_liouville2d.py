@@ -9,7 +9,7 @@ from numpy.polynomial import polynomial as P
 from liouville_lab.checks import (check_backward_complete, check_basin,
                                   check_gamma_invariance, gamma_samples,
                                   sample_off_singular)
-from liouville_lab.geom import shoelace_area
+from liouville_lab.geom import TWO_PI, perp, shoelace_area
 from liouville_lab.grid2d import (make_pinwheel_grid, make_radial_grid,
                                   make_sector_grid)
 from liouville_lab.integrate import rk45
@@ -132,13 +132,75 @@ def test_singular_evaluations_raise(radial4_form):
         f.eval_lambda(outside)
 
 
-def test_presmoothing_vertex_band_is_forbidden():
-    g = make_radial_grid(4, 1.0)
-    f = build_form(g, smoothing=False)
-    with pytest.raises(DomainError):
-        f.eval_lambda(np.array([1e-3, 2e-3]))  # inside the origin chart
-    # away from vertices the raw form evaluates fine
-    assert np.isfinite(f.eval_lambda(np.array([0.2, 0.1]))).all()
+def _lambda_reference(f, x) -> np.ndarray:
+    """The covector formulas that `eval_lambda = perp(eval_X)` replaced: the
+    face-leaf covector ((t^2 - 1) / 2t^2) perp(x - p), the model covector
+    of an interior chart, and at a boundary vertex that covector pulled back
+    through the collar map."""
+    x = np.asarray(x, dtype=float)
+    c = f.chart_at(x)
+    if c is not None:
+        xw = f.wrap(x)
+        R, th, s = c.chart_coords(xw, f.grid)
+        r2 = float(s @ s)
+        if r2 == 0.0:
+            return np.zeros(2)
+        vR, vth = c.model_field(R, th)
+        lam = vR * perp(s) / (TWO_PI * r2) - vth * TWO_PI * s
+        if not c.boundary:
+            return lam
+        k = c.collar_scale
+        dxt = k * perp(xw) / (TWO_PI * float(xw @ xw))
+        dyt = -TWO_PI * xw / k
+        return lam[0] * dxt + lam[1] * dyt
+    i, _, t = f.face_at(x)
+    if t < 1e-7:
+        raise DomainError("lambda is singular at a marked point")
+    fc = f.faces[i]
+    xl = f._face_local(fc, x)
+    _, t = fc.labels(xl)
+    return ((t * t - 1.0) / (2.0 * t * t)) * perp(xl - fc.p)
+
+
+def _lambda_or_error(fn, x):
+    try:
+        return fn(x)
+    except DomainError:
+        return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_lambda_is_quarter_turn_of_X_against_reference(
+        radial4_form, pinwheel_form, periodic_form, data):
+    # bit for bit on faces and interior charts, within 1e-15 |lambda| on
+    # collar charts, where the pullback and the pushforward round apart
+    f = data.draw(st.sampled_from((radial4_form, pinwheel_form, periodic_form)))
+    unit = st.floats(0.0, 1.0)
+    if data.draw(st.booleans()):
+        c = data.draw(st.sampled_from(f.charts))
+        r = 0.999 * c.ambient_radius() * data.draw(unit)
+        a = TWO_PI * data.draw(unit)
+        x = c.center + r * np.array([np.cos(a), np.sin(a)])
+        if f.grid.periodic:
+            x = np.mod(x, f.grid.period)
+    elif f.grid.periodic:
+        N = f.grid.period
+        x = np.array([data.draw(st.floats(0.0, N, exclude_max=True))
+                      for _ in range(2)])
+    else:
+        b = 1.01 * f.grid.boundary_radius()
+        x = np.array([data.draw(st.floats(-b, b)) for _ in range(2)])
+    lam = _lambda_or_error(f.eval_lambda, x)
+    ref = _lambda_or_error(lambda y: _lambda_reference(f, y), x)
+    if ref is None or lam is None:
+        assert ref is None and lam is None
+        return
+    c = f.chart_at(x)
+    if c is not None and c.boundary:
+        assert np.linalg.norm(lam - ref) <= 1e-15 * np.linalg.norm(ref)
+    else:
+        assert np.array_equal(lam, ref)
 
 
 def test_smoothed_vertex_chart_formula(radial4_form):
