@@ -65,19 +65,18 @@ def parse_grid_spec(spec: str, area: float | None = None) -> grid2d.Grid:
 
 
 def parse_surface(spec: str) -> reeb3.StarshapedHypersurface:
-    if spec == "sphere":
-        return reeb3.StarshapedHypersurface("sphere")
-    if spec.startswith("ellipsoid:"):
-        a, b = parse_numbers(spec.split(":")[1], float, 2)
-        return reeb3.StarshapedHypersurface("ellipsoid", (a, b))
-    if spec.startswith("bumped:"):
-        c, = parse_numbers(spec.split(":")[1], float, 1)
-        return reeb3.StarshapedHypersurface("bumped", (c,))
-    if spec.endswith(".json"):
-        with open(spec) as fh:
-            doc = json.load(fh)
-        return reeb3.StarshapedHypersurface(doc["kind"], tuple(doc.get("params", ())))
-    raise SpecError(f"unknown surface spec {spec!r}")
+    """sphere | ellipsoid:a,b | bumped:c | path.json ({"kind", "params"})"""
+    try:
+        if spec.endswith(".json"):
+            with open(spec) as fh:
+                doc = json.load(fh)
+            kind, params = doc["kind"], doc.get("params", ())
+        else:
+            kind, _, rest = spec.partition(":")
+            params = parse_numbers(rest) if rest else ()
+        return reeb3.StarshapedHypersurface(kind, tuple(params))
+    except (TypeError, ValueError) as exc:
+        raise SpecError(str(exc)) from None
 
 
 def write_text(path: str | None, text: str):

@@ -97,7 +97,6 @@ class Grid:
     faces: list                       # list of cycles of signed arc ids
     marked_points: np.ndarray | None = None
     periodic: bool = False
-    regular_hint: bool = False
     _face_polys: list = field(default_factory=list, repr=False)
     _index: SegmentIndex = field(init=False, repr=False, compare=False)
 
@@ -307,8 +306,7 @@ def _boundary_polygon_radius(A: float, n_segments: int) -> float:
 
 
 def _disc_grid_from_spokes(A: float, spoke_curves: list, resolution: int,
-                           boundary_per_sector: int, marked=None,
-                           regular_hint=False) -> Grid:
+                           boundary_per_sector: int, marked=None) -> Grid:
     """Assemble a disc grid whose interior arcs all run from the origin to the
     boundary circle. spoke_curves[l] maps u in [0,1] to a point of the closed
     unit disc with |f(1)| = 1; everything is rescaled to the corrected radius.
@@ -358,7 +356,7 @@ def _disc_grid_from_spokes(A: float, spoke_curves: list, resolution: int,
         boundary_ids.append(len(arcs) - 1)
 
     faces = [[l, boundary_ids[l], -((l + 1) % k) - 1] for l in range(k)]
-    g = Grid(A, vertices, arcs, faces, marked, regular_hint=regular_hint)
+    g = Grid(A, vertices, arcs, faces, marked)
     flag_boundary_vertices(g)
     return g
 
@@ -377,7 +375,7 @@ def make_radial_grid(k: int, A: float, resolution: int = ARC_RESOLUTION) -> Grid
         return lambda u: u * e
 
     g = _disc_grid_from_spokes(A, [spoke(l) for l in range(k)], resolution,
-                               per_sector, regular_hint=True)
+                               per_sector)
     # marked points on sector bisectors at half-radius
     r_half = 0.5 * g.boundary_radius()
     marked = np.array([
@@ -385,7 +383,7 @@ def make_radial_grid(k: int, A: float, resolution: int = ARC_RESOLUTION) -> Grid
                            np.sin(TWO_PI * (l + 0.5) / k)])
         for l in range(k)
     ])
-    g = Grid(A, g.vertices, g.arcs, g.faces, marked, regular_hint=True)
+    g = Grid(A, g.vertices, g.arcs, g.faces, marked)
     flag_boundary_vertices(g)
     return g
 
@@ -473,7 +471,7 @@ def make_pinwheel_grid(k: int, A: float, twists,
 
     per_sector = max(64, 2048 // k)
     return _disc_grid_from_spokes(A, [spoke(l) for l in range(k)], resolution,
-                                  per_sector, regular_hint=True)
+                                  per_sector)
 
 
 def make_periodic_grid(N: int) -> Grid:
@@ -527,7 +525,7 @@ def make_periodic_grid(N: int) -> Grid:
             marked.append(base + 0.5)
 
     return Grid(float(N * N), vertices, arcs, faces, np.array(marked),
-                periodic=True, regular_hint=True)
+                periodic=True)
 
 
 # ---------------------------------------------------------------------------

@@ -799,10 +799,10 @@ def _chart_reach(grid: Grid, vi: int, marked) -> float:
         if incident:
             arc_reach = min(arc_reach, seg)
         else:
-            if grid.periodic:
-                dmin = min(dist(p, v.xy) for p in a.points[:: max(1, len(a.points) // 16)])
-            else:
-                dmin = float(segments_distance(v.xy, polyline_segments([a.points])))
+            s0, ab, denom = polyline_segments([a.points])
+            if grid.periodic:  # each segment at its start's image nearest v
+                s0 = v.xy + min_image(s0 - v.xy, grid.period)
+            dmin = float(segments_distance(v.xy, (s0, ab, denom)))
             other_arc = min(other_arc, dmin)
     vert = min((dist(w.xy, v.xy) for j, w in enumerate(grid.vertices) if j != vi
                 and dist(w.xy, v.xy) > 1e-12), default=np.inf)

@@ -31,6 +31,9 @@ CHORD_TOL = 1e-5
 CHORD_T_MIN = 1e-3
 # absolute and relative step tolerance of the numeric Reeb flow
 REEB_ATOL = 1e-11
+# surface kind: parameter count and the bound the parameters must exceed for
+# H > 0 off the origin (on `bumped` q1 q2 / r^4 <= 1/4, so 1 + c/4 > 0)
+SURFACE_PARAMS = {"sphere": (0, 0.0), "ellipsoid": (2, 0.0), "bumped": (1, -4.0)}
 
 
 def to_complex(z: np.ndarray) -> np.ndarray:
@@ -60,10 +63,21 @@ def omega_st(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 @dataclass
 class StarshapedHypersurface:
-    """S = H^{-1}(1) for a positive 2-homogeneous H."""
+    """S = H^{-1}(1) for a positive 2-homogeneous H of q1 = |z1|^2 and
+    q2 = |z2|^2: the sphere pi (q1 + q2), the ellipsoid pi (q1/a + q2/b)
+    and `bumped` pi (r^2 + c q1 q2 / r^2)."""
 
     kind: str = "sphere"
     params: tuple = ()
+
+    def __post_init__(self):
+        n, low = SURFACE_PARAMS.get(self.kind, (None, 0.0))
+        p = np.array(self.params, dtype=float)
+        if n is None or p.shape != (n,) or not np.all(np.isfinite(p) & (p > low)):
+            raise ValueError(f"bad hypersurface {self.kind!r} {self.params!r}: "
+                             "need sphere, ellipsoid a, b > 0 or bumped c > -4")
+        # the constant periods of a sphere or an ellipsoid
+        self._period = {"sphere": np.ones(2), "ellipsoid": p}.get(self.kind)
 
     def H(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
@@ -140,33 +154,35 @@ class StarshapedHypersurface:
         norm = alpha_st(np.asarray(z, dtype=float), X)
         return X / norm[..., None]
 
+    def periods(self, z: np.ndarray) -> np.ndarray:
+        """Periods (P1, P2) of the Reeb rotation of z1 and z2: for H = pi h(q),
+        alpha(X_H) = H/2, so R turns z_j at 2 dh/dq_j / h; P_j = pi h / dh/dq_j."""
+        if self._period is not None:
+            return self._period
+        c, = self.params
+        q = (z * z).reshape(z.shape[:-1] + (2, 2)).sum(axis=-1)
+        r2 = q.sum(axis=-1, keepdims=True)
+        # h = r^2 + c q1 q2 / r^2, dh/dq1 = 1 + c q2^2 / r^4 and back
+        dh = 1.0 + c * (q[..., ::-1] / r2) ** 2
+        return np.pi * (r2 + c * q.prod(axis=-1, keepdims=True) / r2) / dh
+
     def flow(self, z: np.ndarray, t) -> np.ndarray:
-        """Reeb flow Phi^t(z): closed form on spheres and ellipsoids,
-        otherwise `flow_numeric`.
+        """Reeb flow Phi^t(z) = (z1 e^{2 pi i t/P1}, z2 e^{2 pi i t/P2}): H
+        depends on q1 and q2 only, so both are conserved and each z_j turns
+        at the constant rate of its period.
 
         t may be a scalar or an array; z's leading axes and t broadcast.
         """
         z = np.asarray(z, dtype=float)
         t = np.asarray(t, dtype=float)
-        if self.kind == "sphere":
-            w = to_complex(z)
-            ph = np.exp(2j * np.pi * t)
-            return from_complex(w * ph[..., None])
-        if self.kind == "ellipsoid":
-            a, b = self.params
-            w = to_complex(z)
-            w1 = w[..., 0] * np.exp(2j * np.pi * t / a)
-            out = np.empty(w1.shape + (2,), dtype=complex)
-            out[..., 0] = w1
-            out[..., 1] = w[..., 1] * np.exp(2j * np.pi * t / b)
-            return from_complex(out)
-        return self.flow_numeric(z, t)
+        return from_complex(to_complex(z) * np.exp(
+            2j * np.pi * t[..., None] / self.periods(z)))
 
     def flow_numeric(self, z: np.ndarray, t) -> np.ndarray:
-        """Reeb flow of a whole batch in one rk45 run: dz/ds = t R(z) on
-        s in [0, 1], for each row's t of either sign or zero. rk45's error
-        test is the max-norm over the whole state, so every row meets
-        REEB_ATOL."""
+        """Reference Reeb flow that integrates `reeb` instead: a whole batch
+        in one rk45 run, dz/ds = t R(z) on s in [0, 1], for each row's t of
+        either sign or zero. rk45's error test is the max-norm over the
+        whole state, so every row meets REEB_ATOL."""
         tt = np.asarray(t, dtype=float)[..., None]
         z = np.broadcast_to(z, np.broadcast_shapes(np.shape(z), tt.shape))
         _, y, _ = rk45(lambda y: tt * self.reeb(y), z, 1.0,
@@ -211,8 +227,7 @@ class LegendrianCurve:
 def _fd_velocity(p: np.ndarray, closed: bool) -> np.ndarray:
     if closed:
         return 0.5 * (np.roll(p, -1, axis=0) - np.roll(p, 1, axis=0))
-    v = np.gradient(p, axis=0)
-    return v
+    return np.gradient(p, axis=0)
 
 
 def legendrian_graph(S: StarshapedHypersurface, k: int,
@@ -390,22 +405,20 @@ class SweepResult:
     disc_areas: list             # Hopf-projected areas of the complement discs
 
 
-def hopf_sweep(k: int, T: float | None = None, n_arc: int = 160,
-               n_time: int = 120, n_test: int = 20000,
-               seed: int = 7) -> SweepResult:
+def hopf_sweep(k: int, T: float | None = None, n_test: int = 20000) -> SweepResult:
     """Sample L = union_{t in [0,T]} Phi^{-t}(Lambda_k) on the round sphere and
     count the components of its complement by neighbor-graph connectivity."""
     S = StarshapedHypersurface("sphere")
     if T is None:
         T = 1.0 / k
-    P = np.stack([arc.points for arc in legendrian_graph(S, k, n_samples=n_arc)])
-    ts = np.linspace(0.0, T, n_time)
+    P = np.stack([arc.points for arc in legendrian_graph(S, k, n_samples=160)])
+    ts = np.linspace(0.0, T, 120)
     # ordered by arc, then time, then point along the arc
     L = S.flow(P[:, None], -ts[None, :, None]).reshape(-1, 4)
 
     counts = []
     for factor in (1, 2):
-        counts.append(_component_count(S, L, n_test * factor, seed))
+        counts.append(_component_count(S, L, n_test * factor))
     count = counts[0] if counts[0] == counts[1] else None
 
     # Hopf shadows of the k lune discs between consecutive half-great circles
@@ -416,12 +429,11 @@ def hopf_sweep(k: int, T: float | None = None, n_arc: int = 160,
     return SweepResult(L, count, areas)
 
 
-def _component_count(S: StarshapedHypersurface, L: np.ndarray, n: int,
-                     seed: int) -> int:
+def _component_count(S: StarshapedHypersurface, L: np.ndarray, n: int) -> int:
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     g = rng.normal(size=(n, 4))
     pts = S.project(g)
     tree_L = cKDTree(L)
@@ -439,17 +451,12 @@ def _component_count(S: StarshapedHypersurface, L: np.ndarray, n: int,
     return int(np.sum(sizes > 0.01 * m))
 
 
-def _lune_boundary(S: StarshapedHypersurface, k: int, j: int,
-                   n: int = 2000) -> np.ndarray:
-    s = np.linspace(0.0, np.pi / 2.0, n)
-    a_j = TWO_PI * j / k
-    a_j1 = TWO_PI * (j + 1) / k
-    down = np.stack([np.cos(s) * 1.0, np.cos(s) * 0.0,
-                     np.sin(s) * np.cos(a_j), np.sin(s) * np.sin(a_j)], axis=1)
-    up = np.stack([np.cos(s) * 1.0, np.cos(s) * 0.0,
-                   np.sin(s) * np.cos(a_j1), np.sin(s) * np.sin(a_j1)], axis=1)
-    path3 = np.concatenate([hopf_project(down), hopf_project(up)[::-1]], axis=0)
-    return path3
+def _lune_boundary(S: StarshapedHypersurface, k: int, j: int) -> np.ndarray:
+    s = np.linspace(0.0, np.pi / 2.0, 2000)
+    down, up = (hopf_project(np.stack([np.cos(s), 0.0 * s, np.sin(s) * np.cos(a),
+                                       np.sin(s) * np.sin(a)], axis=1))
+                for a in (TWO_PI * j / k, TWO_PI * (j + 1) / k))
+    return np.concatenate([down, up[::-1]], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +520,7 @@ def chord_search(S: StarshapedHypersurface, source: LegendrianCurve,
     call, finds local minima of the distance-to-target function on the
     (s, t) grid, and refines them below the chord tolerance with a local
     zoom, evaluated one 7-point row (one `S.flow` call) at a time, and a
-    Nelder-Mead polish. Every flow goes through `S.flow`, so a surface
-    without a closed form integrates each call as one batch.
+    Nelder-Mead polish.
 
     Candidates are polished in order of their grid time, ties by grid
     distance, and the search stops at the first candidate whose previous
@@ -680,24 +686,20 @@ class LagrangianTorusSample:
 
 
 def mohnke_torus(S: StarshapedHypersurface, knot: LegendrianCurve, T: float,
-                 eps: float, extra_targets: tuple = (), n_knot: int = 256,
-                 n_gamma: int = 512,
-                 skip_hypothesis_check: bool = False) -> LagrangianTorusSample:
+                 eps: float, extra_targets: tuple = ()) -> LagrangianTorusSample:
     """Sample iota(p, tau, t) = sqrt(tau) Phi^t(p) over the knot times a closed
     (tau, t)-curve gamma of enclosed area exactly T inside (0,1] x [0, T+eps].
 
     Requires no Reeb chord of length <= T + eps from the knot to the knot
     union the extra target set.
     """
-    if not skip_hypothesis_check:
-        chords = chord_search(S, knot, [knot, *extra_targets], T + eps,
-                              direction=1)
-        if chords:
-            c = chords[0]
-            raise ValueError(
-                f"chord hypothesis violated: found a chord of length {c.T:.6f}"
-                f" <= {T + eps:.6f} starting at parameter {c.start_param:.4f}")
+    if chords := chord_search(S, knot, [knot, *extra_targets], T + eps, direction=1):
+        c = chords[0]
+        raise ValueError(
+            f"chord hypothesis violated: found a chord of length {c.T:.6f}"
+            f" <= {T + eps:.6f} starting at parameter {c.start_param:.4f}")
 
+    n_gamma = 512
     tau_c, t_c, rho_tau, rho_t = _gamma_ellipse(T, eps)
     u = np.linspace(0.0, TWO_PI, n_gamma, endpoint=False)
     taus = tau_c + rho_tau * np.cos(u)
@@ -705,7 +707,7 @@ def mohnke_torus(S: StarshapedHypersurface, knot: LegendrianCurve, T: float,
 
     # stride the knot's own samples so the s-grid is free of interpolation
     # kinks (the finite-difference tangents below are then clean)
-    stride = max(1, len(knot.points) // n_knot)
+    stride = max(1, len(knot.points) // 256)
     while len(knot.points) % stride:
         stride -= 1
     base = knot.points[::stride]

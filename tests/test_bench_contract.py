@@ -100,19 +100,23 @@ def test_grid_distance_measures_few_segments():
 
 
 def test_numeric_reeb_flow_is_one_rk45_run():
-    # a surface without a closed-form flow integrates the whole batch at once
+    # S.flow turns z1 and z2 in closed form on every surface, bumped too; the
+    # numeric reference integrates the whole batch in one rk45 run
     lib, Tracer = _load()
     reeb3 = lib.reeb3
     S = reeb3.StarshapedHypersurface("bumped", (0.15,))
     z = S.project(np.random.default_rng(2).normal(size=(6, 4)))
+    t = np.linspace(-0.4, 0.4, 6)
     tracer = Tracer()
     try:
         tracer.install(lib)
-        out = S.flow(z, np.linspace(-0.4, 0.4, 6))
+        out = S.flow(z, t)
+        flow_counts = dict(tracer.counts)
+        ref = S.flow_numeric(z, t)
     finally:
         tracer.uninstall()
-    counts = tracer.counts
-    assert out.shape == z.shape
-    assert counts["reeb3.flow.calls"] == 1
-    assert counts["reeb3.flow.points"] == 6
-    assert counts["integrate.rk45.calls"] == 1
+    assert out.shape == ref.shape == z.shape
+    assert flow_counts["reeb3.flow.calls"] == 1
+    assert flow_counts["reeb3.flow.points"] == 6
+    assert flow_counts.get("integrate.rk45.calls", 0) == 0
+    assert tracer.counts["integrate.rk45.calls"] == 1

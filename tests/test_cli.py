@@ -65,9 +65,29 @@ def test_malformed_grid_file_is_exit_2(tmp_path):
     # missing inputs
     ("liouville", "flow"),
     ("polar4", "classify", "--formA", "radial:3"),
+    # surfaces whose H is not positive off the origin
+    ("reeb", "chords", "--surface", "ellipsoid:0,1"),
+    ("reeb", "chords", "--surface", "ellipsoid:-1,1"),
+    ("reeb", "chords", "--surface", "bumped:-5"),
+    ("reeb", "chords", "--surface", "bumped:-4"),
+    ("reeb", "chords", "--surface", "bumped:nan"),
 ])
 def test_malformed_spec_is_exit_2(args):
     r = run_cli(*args)
+    assert r.returncode == 2, r.stderr
+    assert "error" in r.stderr.lower()
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "torus"},
+    {"kind": "ellipsoid", "params": [1.0]},
+    [1.0, 2.0],
+])
+def test_malformed_surface_file_is_exit_2(tmp_path, doc):
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli("reeb", "torus", "--surface", str(path))
     assert r.returncode == 2, r.stderr
     assert "error" in r.stderr.lower()
     assert "Traceback" not in r.stderr

@@ -67,24 +67,52 @@ def test_round_sphere_hopf_flow():
         assert np.linalg.norm(num - zz) < 1e-9
 
 
+def _rotation_reference(S, z, t):
+    """The sphere's and the ellipsoid's flows as they were written before
+    one period-based expression served every surface."""
+    z = np.asarray(z, dtype=float)
+    t = np.asarray(t, dtype=float)
+    w = to_complex(z)
+    if S.kind == "sphere":
+        return from_complex(w * np.exp(2j * np.pi * t)[..., None])
+    a, b = S.params
+    w1 = w[..., 0] * np.exp(2j * np.pi * t / a)
+    out = np.empty(w1.shape + (2,), dtype=complex)
+    out[..., 0] = w1
+    out[..., 1] = w[..., 1] * np.exp(2j * np.pi * t / b)
+    return from_complex(out)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.floats(-3.0, 3.0))
+def test_flow_equals_the_rotation_reference(seed, n, t):
+    # scalar t, a t per row, and t beyond z's leading axes, bit for bit
+    ts = t + np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    for S in (SPHERE, ELLIPSOID):
+        z = surface_samples(S, n, seed)
+        for zz, tt in ((z, t), (z, ts), (z[:, None], ts[None, :])):
+            assert np.array_equal(S.flow(zz, tt), _rotation_reference(S, zz, tt))
+
+
 def test_flow_broadcasts_t_beyond_z():
-    # t's axis beyond z's leading ones: closed forms bit for bit, the numeric
-    # flow within 1e-9 of its one-point calls
+    # t's axis beyond z's leading ones, bit for bit on every surface
     t = np.array([-0.3, 0.0, 0.25, 0.7])
     for S in (SPHERE, ELLIPSOID, BUMPED):
         z = surface_samples(S, 3, seed=4)
         grid = S.flow(z[:, None], t[None, :])
         assert grid.shape == (3, 4, 4)
         single = np.array([[S.flow(zi, ti) for ti in t] for zi in z])
-        if S is BUMPED:
-            assert np.abs(grid - single).max() < 1e-9
-        else:
-            assert np.array_equal(grid, single), S.kind
+        assert np.array_equal(grid, single), S.kind
+
+
+def _q(z):
+    return np.stack([z[..., 0] ** 2 + z[..., 1] ** 2,
+                     z[..., 2] ** 2 + z[..., 3] ** 2], axis=-1)
 
 
 @settings(max_examples=12, deadline=None)
 @given(st.integers(0, 2**32 - 1),
-       st.lists(st.floats(-0.6, 0.6), min_size=1, max_size=5))
+       st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=5))
 def test_flow_numeric_batch_equals_single_calls(seed, t):
     n = len(t)
     t = np.array(t)
@@ -94,8 +122,10 @@ def test_flow_numeric_batch_equals_single_calls(seed, t):
         for i in range(n):
             assert np.abs(batch[i] - S.flow_numeric(z[i], t[i])).max() < 1e-9
         assert np.array_equal(S.flow_numeric(z, np.zeros(n)), z)
-        if S is not BUMPED:
-            assert np.abs(batch - S.flow(z, t)).max() < 1e-9
+        # the closed form against the integrated Reeb field
+        moved = S.flow(z, t)
+        assert np.abs(batch - moved).max() < 1e-9, S.kind
+        assert np.abs(_q(moved) - _q(z)).max() < 1e-14, S.kind
 
 
 def test_ellipsoid_orbit_periods():
@@ -301,9 +331,9 @@ def test_short_self_orbit_chords_are_not_transversal(self_orbit_chords):
         (c.start_param, c.T) for c in short if c.transversal]
 
 
-def test_chord_search_on_a_surface_without_closed_form_flow():
-    # the bumped sphere flows numerically: every chord found must end on the
-    # level set, on a target, and flow back to its start
+def test_chord_search_on_the_bumped_sphere():
+    # every chord found must end on the level set, on a target, and flow
+    # back to its start under the integrated Reeb field
     knot = legendrian_great_circle(BUMPED)
     targets = [knot, *legendrian_graph(BUMPED, 3, n_samples=512)]
     chords = chord_search(BUMPED, knot, targets, T_max=2 / 3 + 1e-3,
@@ -315,7 +345,8 @@ def test_chord_search_on_a_surface_without_closed_form_flow():
     for c in chords:
         assert abs(BUMPED.H(c.end_point) - 1.0) < 1e-9
         assert segments_distance(c.end_point[None], segs)[0] < CHORD_TOL
-        assert np.abs(BUMPED.flow(c.end_point, -c.T) - c.start_point).max() < 1e-8
+        back = BUMPED.flow_numeric(c.end_point, -c.T)
+        assert np.abs(back - c.start_point).max() < 1e-8
 
 
 def _turned(curve, a, b):
