@@ -290,6 +290,8 @@ def _load_knot(S, spec: str) -> reeb3.LegendrianCurve:
     if spec.endswith(".json"):
         with open(spec) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise SpecError(f"knot file {spec!r} does not hold a JSON object")
         return reeb3.LegendrianCurve(doc.get("name", "file"),
                                      np.array(doc["points"]),
                                      closed=bool(doc.get("closed", True)),

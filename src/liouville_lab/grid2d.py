@@ -224,6 +224,8 @@ class Grid:
     @staticmethod
     def from_json(text: str) -> "Grid":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise GridError("a grid file holds one JSON object")
         verts = [Vertex(np.array([v["x"], v["y"]])) for v in doc["vertices"]]
         arcs = [Arc(a["v0"], a["v1"], np.array(a["points"])) for a in doc["arcs"]]
         g = Grid(

@@ -31,6 +31,8 @@ CHORD_TOL = 1e-5
 CHORD_T_MIN = 1e-3
 # absolute and relative step tolerance of the numeric Reeb flow
 REEB_ATOL = 1e-11
+# seed-grid rows per capped distance query of the chord search
+GRID_ROW_BLOCK = 4
 # surface kind: parameter count and the bound the parameters must exceed for
 # H > 0 off the origin (on `bumped` q1 q2 / r^4 <= 1/4, so 1 + c/4 > 0)
 SURFACE_PARAMS = {"sphere": (0, 0.0), "ellipsoid": (2, 0.0), "bumped": (1, -4.0)}
@@ -38,12 +40,13 @@ SURFACE_PARAMS = {"sphere": (0, 0.0), "ellipsoid": (2, 0.0), "bumped": (1, -4.0)
 
 def to_complex(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
-    return np.stack([z[..., 0] + 1j * z[..., 1], z[..., 2] + 1j * z[..., 3]], axis=-1)
+    return z[..., 0::2] + 1j * z[..., 1::2]
 
 
 def from_complex(w: np.ndarray) -> np.ndarray:
-    return np.stack([w[..., 0].real, w[..., 0].imag,
-                     w[..., 1].real, w[..., 1].imag], axis=-1)
+    """(x1, y1, x2, y2) of (z1, z2): a float view of a C-ordered copy of w,
+    so that it never shares memory with the caller's array."""
+    return np.array(w, dtype=complex, order="C").view(float)
 
 
 def alpha_st(z: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -505,7 +508,10 @@ def target_distance_factory(targets: list):
         return out
 
     def dist(x: np.ndarray) -> float:
-        return float(dist_batch(np.asarray(x, dtype=float)[None])[0])
+        x = np.asarray(x, dtype=float)
+        # with one segment k = 1 returns an unstacked index
+        idx = np.reshape(tree.query(x, k=kq)[1], -1)
+        return float(segments_distance(x, (a[idx], ab[idx], denom[idx])))
 
     dist.batch = dist_batch
     return dist
@@ -528,7 +534,8 @@ def chord_search(S: StarshapedHypersurface, source: LegendrianCurve,
     brackets its minimum between rows i - 1 and i + 1, so no later
     candidate can be shorter. `chords[0]` is thus the shortest chord whose
     basin the grid sees, whatever the rounding; the list holds the chords
-    found up to that point, sorted by T.
+    found up to that point, sorted by T. The grid's distance is measured
+    row by row (`_grid_candidates`) and only up to that stop.
     """
     from scipy.optimize import minimize
 
@@ -546,20 +553,6 @@ def chord_search(S: StarshapedHypersurface, source: LegendrianCurve,
     ]))
 
     grid = S.flow(seeds, sgn * ts[:, None])
-
-    # capped at the candidate threshold: a value >= d_cand (or inf) can
-    # neither be a candidate nor make a neighbour one
-    d_cand = 0.25
-    D = dist.batch(grid.reshape(-1, 4), cap=d_cand).reshape(grid.shape[:2])
-    # candidates are dips of the distance along each flow line: interior
-    # local minima in t (plus the final row when the distance is still
-    # falling there). Monotone trivial departures from the source never
-    # produce one; every transversal chord does.
-    local_min = np.zeros_like(D, dtype=bool)
-    local_min[1:-1] = (D[1:-1] <= D[:-2]) & (D[1:-1] <= D[2:])
-    local_min[-1] = D[-1] < D[-2]
-    cand = np.argwhere(local_min & (D < d_cand))
-    cand = cand[np.lexsort((D[cand[:, 0], cand[:, 1]], cand[:, 0]))]
 
     def in_window(tt):
         return (CHORD_T_MIN * 0.5 <= tt) & (tt <= T_max * 1.001)
@@ -585,10 +578,12 @@ def chord_search(S: StarshapedHypersurface, source: LegendrianCurve,
     visited = set()
     n_polish = 0
     T_best = np.inf
-    for (i_t, i_s) in cand:
+    # a distance >= 0.25 (or inf) can neither be a candidate nor make a
+    # neighbour one, so the grid is measured capped there
+    for (i_t, i_s) in _grid_candidates(grid, dist.batch, 0.25):
         # a dip at row i brackets its minimum in (ts[i-1], ts[i+1]), so once
         # ts[i-1] passes the shortest chord no later candidate is shorter
-        if n_polish >= 48 or len(found) >= 12 or ts[max(i_t - 1, 0)] > T_best:
+        if n_polish >= 48 or len(found) >= 12 or ts[i_t - 1] > T_best:
             break
         key = (i_t // 2, i_s // 3)
         if key in visited:
@@ -635,6 +630,33 @@ def chord_search(S: StarshapedHypersurface, source: LegendrianCurve,
                 T_best = min(T_best, T)
     found.sort(key=lambda c: c.T)
     return found
+
+
+def _grid_candidates(grid: np.ndarray, dist_batch, cap: float):
+    """The chord search's candidate cells (row i_t, seed i_s) of the seed grid
+    (n_t, n_s, 4), in the order it polishes them: by row, then by distance,
+    ties by seed.
+
+    A candidate is a dip of the distance along its flow line below `cap`: an
+    interior local minimum in t, or the final row while the distance is still
+    falling there. Monotone trivial departures from the source never produce
+    one; every transversal chord does. Rows are measured GRID_ROW_BLOCK at a
+    time with `dist_batch(X, cap=cap)`, and only as far as the caller reads:
+    row i's candidates need rows i - 1 to i + 1."""
+    n_t, n_s = grid.shape[:2]
+    D = np.empty((n_t, n_s))
+    done = 0
+    for i in range(1, n_t):
+        while done < min(i + 2, n_t):
+            stop = min(done + GRID_ROW_BLOCK, n_t)
+            D[done:stop] = dist_batch(grid[done:stop].reshape(-1, 4),
+                                      cap=cap).reshape(stop - done, n_s)
+            done = stop
+        d = D[i]
+        dip = d < D[i - 1] if i == n_t - 1 else (d <= D[i - 1]) & (d <= D[i + 1])
+        js = np.flatnonzero(dip & (d < cap))
+        for j in js[np.argsort(d[js], kind="stable")]:
+            yield i, j
 
 
 def _curve_point(curve: LegendrianCurve, s) -> np.ndarray:

@@ -120,3 +120,46 @@ def test_numeric_reeb_flow_is_one_rk45_run():
     assert flow_counts["reeb3.flow.points"] == 6
     assert flow_counts.get("integrate.rk45.calls", 0) == 0
     assert tracer.counts["integrate.rk45.calls"] == 1
+
+
+def test_chord_grid_is_measured_only_up_to_the_stop():
+    # the seed grid's capped distance queries run a block of rows at a time
+    # and stop with the search: the first chord on the sphere from the great
+    # circle to the k = 3 barrier is short, so most rows are never measured
+    lib, Tracer = _load()
+    reeb3 = lib.reeb3
+    S = reeb3.StarshapedHypersurface("sphere")
+    knot = reeb3.legendrian_great_circle(S)
+    targets = [knot, *reeb3.legendrian_graph(S, 3, n_samples=512)]
+    n_seed, n_time, T_max = 96, 128, 2 / 3 + 1e-3
+    n_t = len(np.unique(np.concatenate([
+        np.geomspace(reeb3.CHORD_T_MIN, T_max, 48),
+        np.linspace(reeb3.CHORD_T_MIN, T_max, n_time)])))
+    capped = []
+    factory = reeb3.target_distance_factory
+
+    def counting_factory(targets):
+        dist = factory(targets)
+        batch = dist.batch
+
+        def counted(X, cap=np.inf):
+            if np.isfinite(cap):
+                capped.append(len(X))
+            return batch(X, cap=cap)
+        dist.batch = counted
+        return dist
+
+    reeb3.target_distance_factory = counting_factory
+    tracer = Tracer()
+    try:
+        tracer.install(lib)
+        chords = reeb3.chord_search(S, knot, targets, T_max=T_max,
+                                    n_seed=n_seed, n_time=n_time)
+    finally:
+        tracer.uninstall()
+        reeb3.target_distance_factory = factory
+    assert chords and chords[0].T < T_max / 2
+    assert capped and all(n == n_seed * reeb3.GRID_ROW_BLOCK for n in capped)
+    # an eager grid measures all n_seed x n_t points in one capped query
+    assert sum(capped) < n_seed * n_t / 2
+    assert tracer.counts["reeb3.target_distance.batch_points"] >= sum(capped)

@@ -199,3 +199,16 @@ def test_check_all_exit_zero():
     r = run_cli("check-all", "--grid", "radial:3", "--samples", "150")
     assert r.returncode == 0, r.stdout + r.stderr
     assert "PASS" in r.stdout and "FAIL" not in r.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ("grid", "info", "{path}"),
+    ("reeb", "chords", "--source", "{path}"),
+    ("reeb", "chords", "--target", "{path}"),
+])
+@pytest.mark.parametrize("doc", [[1, 2], "grid", 3.5, None])
+def test_json_file_that_is_not_an_object_is_exit_2(tmp_path, capsys, argv, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([a.format(path=path) for a in argv]) == 2
+    assert "error" in capsys.readouterr().err.lower()

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liouville_lab.geom import polyline_segments, segments_distance
-from liouville_lab.reeb3 import (CHORD_TOL, LegendrianCurve,
+from liouville_lab.reeb3 import (CHORD_TOL, GRID_ROW_BLOCK, LegendrianCurve,
                                  StarshapedHypersurface, _curve_point,
-                                 alpha_st, chord_search, from_complex,
+                                 _grid_candidates, alpha_st, chord_search, from_complex,
                                  hopf_project, hopf_sweep,
                                  legendrian_graph, legendrian_great_circle,
                                  mohnke_torus, omega_st, reeb_field,
@@ -103,6 +103,33 @@ def test_flow_broadcasts_t_beyond_z():
         assert grid.shape == (3, 4, 4)
         single = np.array([[S.flow(zi, ti) for ti in t] for zi in z])
         assert np.array_equal(grid, single), S.kind
+
+
+def _to_complex_stacked(z):
+    """`to_complex` and `from_complex` as they were written with np.stack."""
+    return np.stack([z[..., 0] + 1j * z[..., 1], z[..., 2] + 1j * z[..., 3]], axis=-1)
+
+
+def _from_complex_stacked(w):
+    return np.stack([w[..., 0].real, w[..., 0].imag,
+                     w[..., 1].real, w[..., 1].imag], axis=-1)
+
+
+@pytest.mark.parametrize("shape", [(4,), (7, 4), (3, 5, 4)])
+def test_complex_views_equal_the_stacked_expressions(shape):
+    # bytes, not ==, so that signed zeros count
+    rng = np.random.default_rng(len(shape))
+    z = rng.normal(size=shape)
+    z = np.where(rng.random(shape) < 0.4, np.copysign(0.0, z), z)
+    z.reshape(-1)[:2] = [0.0, -0.0]
+    w = to_complex(z)
+    assert w.tobytes() == _to_complex_stacked(z).tobytes()
+    for u in (w, w * np.exp(2j * np.pi * 0.3), w[..., ::-1], np.conj(w)):
+        x = from_complex(u)
+        assert x.shape == shape
+        assert x.tobytes() == _from_complex_stacked(u).tobytes()
+        # a fresh array, never a view of the caller's
+        assert not np.shares_memory(x, u)
 
 
 def _q(z):
@@ -289,6 +316,16 @@ def test_target_distance_to_a_single_segment():
     assert dist(ends[1] + [0.0, 0.0, 0.3, 0.0]) == pytest.approx(0.3)
 
 
+def test_scalar_target_distance_equals_the_batch_on_one_segment():
+    # one segment: k = 1, whose index cKDTree returns unstacked
+    ends = SPHERE.project(np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 0.1, 0.0, 0.0]]))
+    dist = target_distance_factory([LegendrianCurve("seg", ends, closed=False)])
+    X = np.vstack([ends, ends.mean(axis=0), surface_samples(SPHERE, 32, seed=9)])
+    batch = dist.batch(X)
+    for i, x in enumerate(X):
+        assert np.float64(dist(x)).tobytes() == batch[i].tobytes()
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.floats(1e-6, 0.5))
 def test_capped_target_distance_is_exact_below_the_cap(seed, cap):
@@ -307,6 +344,87 @@ def test_capped_target_distance_is_exact_below_the_cap(seed, cap):
         assert np.array_equal(capped[below], full[below])
         assert np.all(capped[~below] >= cap)
         assert np.all(np.isinf(capped[-len(far):]))
+
+
+def _grid_candidates_reference(grid, dist_batch, cap):
+    """The candidate order as `chord_search` computed it on the whole grid:
+    one capped query, then `argwhere` and `lexsort`."""
+    D = dist_batch(grid.reshape(-1, 4), cap=cap).reshape(grid.shape[:2])
+    local_min = np.zeros_like(D, dtype=bool)
+    local_min[1:-1] = (D[1:-1] <= D[:-2]) & (D[1:-1] <= D[2:])
+    local_min[-1] = D[-1] < D[-2]
+    cand = np.argwhere(local_min & (D < cap))
+    cand = cand[np.lexsort((D[cand[:, 0], cand[:, 1]], cand[:, 0]))]
+    return [(int(i), int(j)) for i, j in cand]
+
+
+class _TableDistance:
+    """A capped distance that reads the first coordinate as the distance,
+    counting the grid rows it is asked for."""
+
+    def __init__(self, n_s):
+        self.n_s, self.rows = n_s, 0
+
+    def __call__(self, X, cap=np.inf):
+        self.rows += len(X) // self.n_s
+        return np.where(X[:, 0] < cap, X[:, 0], np.inf)
+
+
+B = GRID_ROW_BLOCK
+# rows at which a stop rule fires: inside the first block, where a dip's
+# right neighbour ends the first block or starts the second, on the first
+# row of the second block, and on the last row
+STOP_ROWS = {"first block": 1, "block end": B - 2, "block crossing": B - 1,
+             "block start": B, "last row": -1, "never": None}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(B + 1, 4 * B + 2),
+       st.integers(1, 40), st.sampled_from(sorted(STOP_ROWS)))
+def test_lazy_grid_candidates_equal_the_eager_reference(seed, n_t, n_s, where):
+    # few distinct levels, so rows hold many ties and more than 16
+    # candidates; inf and values >= cap stand for capped points
+    rng = np.random.default_rng(seed)
+    cap = 2.5
+    levels = np.array([0.0, 0.5, 1.0, 2.0, 3.0, np.inf])
+    D = levels[rng.integers(len(levels), size=(n_t, n_s))]
+    stop = STOP_ROWS[where]
+    if stop is not None:
+        stop %= n_t
+        # a candidate on the stop row: the smallest level, falling into it
+        D[stop, rng.integers(n_s)] = 0.0
+        D[stop - 1, :] = np.maximum(D[stop - 1, :], 0.5)
+    grid = np.zeros((n_t, n_s, 4))
+    grid[..., 0] = D
+    ref = _grid_candidates_reference(grid, _TableDistance(n_s), cap)
+    dist = _TableDistance(n_s)
+    got = []
+    for i, j in _grid_candidates(grid, dist, cap):
+        got.append((int(i), int(j)))
+        if stop is not None and i >= stop:
+            break
+    assert got == ref[:len(got)]
+    if stop is None:
+        assert len(got) == len(ref)
+        assert dist.rows == n_t
+    else:
+        # stopped at the first candidate on or past the stop row
+        assert got[-1][0] == stop and all(i < stop for i, _ in got[:-1])
+        # rows up to stop + 1, in whole blocks
+        assert dist.rows == min(n_t, -(-(stop + 2) // B) * B)
+
+
+def test_grid_candidates_equal_the_reference_on_a_flowed_grid():
+    knot = CLOSED_KNOT
+    seeds = knot.points[np.linspace(0, len(knot.points) - 1, 48).astype(int)]
+    ts = np.linspace(1e-3, 1.0, 61)
+    for sgn in (1, -1):
+        grid = ELLIPSOID.flow(seeds, sgn * ts[:, None])
+        ref = _grid_candidates_reference(grid, BARRIER_DIST.batch, 0.25)
+        got = [(int(i), int(j)) for i, j in
+               _grid_candidates(grid, BARRIER_DIST.batch, 0.25)]
+        assert len(ref) > 20
+        assert got == ref
 
 
 @pytest.fixture(scope="module")
