@@ -26,6 +26,11 @@ SWEPT_AREA_REL = 1e-4
 RESIDUE_QUAD = 1e-4
 # allowed drift of skeleton points under the flow, |t| <= 20
 GAMMA_INVARIANCE = 1e-3
+# boundary samples per theta in the swept-area quadrature
+SWEPT_AREA_SAMPLES = 2048
+# skeleton samples per face boundary, and per chart branch (chart radii)
+GAMMA_PER_FACE = 14
+GAMMA_BRANCH_RADII = (0.2, 0.5, 0.85)
 
 
 @dataclass
@@ -118,12 +123,12 @@ def check_leaf_vanishing(form: LiouvilleForm2D, n: int = 400,
                        LEAF_VANISHING)
 
 
-def check_swept_area(form: LiouvilleForm2D, n_boundary: int = 2048) -> CheckResult:
+def check_swept_area(form: LiouvilleForm2D) -> CheckResult:
     """Polygon-quadrature oracle for the swept-area law on every face."""
     worst = 0.0
     for fc in form.faces:
         for theta in np.arange(0.1, 0.95, 0.1):
-            taus = np.linspace(0.0, theta, max(8, int(n_boundary * theta)))
+            taus = np.linspace(0.0, theta, max(8, int(SWEPT_AREA_SAMPLES * theta)))
             ring = np.array([fc.boundary_point(tt) for tt in taus])
             poly = np.vstack([fc.p[None, :], ring])
             area = shoelace_area(poly)
@@ -158,8 +163,7 @@ def check_basin(form: LiouvilleForm2D, n: int = 2000, t_max: float = 20.0,
                        detail=f"{good}/{len(pts)} converged to own face")
 
 
-def gamma_samples(form: LiouvilleForm2D, n_per_face: int = 14,
-                  n_per_branch: int = 3) -> np.ndarray:
+def gamma_samples(form: LiouvilleForm2D) -> np.ndarray:
     """Points of the skeleton, including points inside smoothing charts.
 
     Face-boundary samples lie on the leaf parametrization (exactly on the
@@ -170,12 +174,12 @@ def gamma_samples(form: LiouvilleForm2D, n_per_face: int = 14,
     """
     pts = []
     for fc in form.faces:
-        for th in (np.arange(n_per_face) + 0.5) / n_per_face:
+        for th in (np.arange(GAMMA_PER_FACE) + 0.5) / GAMMA_PER_FACE:
             x = fc.boundary_point(th)
             if form.chart_at(x) is None:
                 pts.append(x)
     for c in form.charts:
-        radii = c.ambient_radius() * np.array([0.2, 0.5, 0.85][:n_per_branch])
+        radii = c.ambient_radius() * np.array(GAMMA_BRANCH_RADII)
         for turn in c.branch_turns():
             for r in radii:
                 pts.append(form.wrap(c.chart_to_ambient(np.pi * r * r, turn,
@@ -200,22 +204,14 @@ def check_backward_complete(form: LiouvilleForm2D, n: int = 300,
     rng = np.random.default_rng(seed)
     pts = sample_off_singular(form, n, rng, chart_margin=0.0,
                               gamma_margin=GRID_BAND_GEOM)
+    ends = np.array([p[1:] for x in pts
+                     for p in form.flow(x, T, direction=-1).points])
     if form.grid.periodic:
-        bound = np.inf
-        worst = 0.0
-        for x in pts:
-            tr = form.flow(x, T, direction=-1)
-            if any(not np.isfinite(px) or not np.isfinite(py)
-                   for (_, px, py) in tr.points):
-                worst = np.inf
+        worst = 0.0 if np.all(np.isfinite(ends)) else np.inf
         return CheckResult("backward completeness", worst == 0.0, worst, 1.0)
     # the resolved boundary carries the arc-resolution tolerance band
     r_out = form.grid.boundary_radius() + GRID_BAND_GEOM
-    worst = 0.0
-    for x in pts:
-        tr = form.flow(x, T, direction=-1)
-        for (_, px, py) in tr.points:
-            worst = max(worst, float(np.hypot(px, py)))
+    worst = float(np.max(np.hypot(ends[:, 0], ends[:, 1])))
     return CheckResult("backward completeness", worst <= r_out, worst, r_out,
                        detail="max |x| along backward flows")
 

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -66,17 +67,32 @@ def parse_grid_spec(spec: str, area: float | None = None) -> grid2d.Grid:
 
 def parse_surface(spec: str) -> reeb3.StarshapedHypersurface:
     """sphere | ellipsoid:a,b | bumped:c | path.json ({"kind", "params"})"""
-    try:
+    with malformed_input():
         if spec.endswith(".json"):
-            with open(spec) as fh:
-                doc = json.load(fh)
+            doc = json_object(spec, "surface")
             kind, params = doc["kind"], doc.get("params", ())
         else:
             kind, _, rest = spec.partition(":")
             params = parse_numbers(rest) if rest else ()
         return reeb3.StarshapedHypersurface(kind, tuple(params))
+
+
+@contextmanager
+def malformed_input(source: str = ""):
+    """Re-raise a TypeError or ValueError of a malformed argument as a SpecError."""
+    try:
+        yield
     except (TypeError, ValueError) as exc:
-        raise SpecError(str(exc)) from None
+        raise SpecError(f"{source}: {exc}" if source else str(exc)) from None
+
+
+def json_object(path: str, what: str) -> dict:
+    """The JSON object in the file at path; `what` names the file in errors."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise SpecError(f"{what} file {path!r} does not hold a JSON object")
+    return doc
 
 
 def write_text(path: str | None, text: str):
@@ -167,8 +183,7 @@ def cmd_liouville(args) -> int:
 def _form_grid(form_path: str | None) -> grid2d.Grid:
     if form_path is None:
         raise SpecError("need --grid or --form")
-    with open(form_path) as fh:
-        doc = json.load(fh)
+    doc = json_object(form_path, "form")
     return grid2d.Grid.from_json(json.dumps(doc["grid"]))
 
 
@@ -205,7 +220,8 @@ def cmd_polar4(args) -> int:
 
 
 def cmd_sdb(args) -> int:
-    m = polar4d.ModelDiscBundle(args.c1, args.area)
+    with malformed_input():
+        m = polar4d.ModelDiscBundle(args.c1, args.area)
     b1, b2, R, th = parse_numbers(args.probe, float, 4)
     W, lam, X = m.eval([b1, b2, R, th])
     print(f"fiber capacity A/c1 = {m.fiber_capacity:g}")
@@ -239,12 +255,12 @@ def cmd_feasible(args) -> int:
 
 
 def _load_divisor(path: str) -> da.WeightedDivisor:
-    with open(path) as fh:
-        doc = json.load(fh)
-    comps = [da.Component(c["genus"], c["boundary"], c["area"], c["weight"])
-             for c in doc["components"]]
-    return da.WeightedDivisor(comps, np.array(doc.get("intersections")) if
-                              doc.get("intersections") is not None else None)
+    doc = json_object(path, "divisor")
+    with malformed_input(f"divisor file {path!r}"):
+        comps = [da.Component(c["genus"], c["boundary"], c["area"], c["weight"])
+                 for c in doc["components"]]
+        return da.WeightedDivisor(comps, np.array(doc.get("intersections")) if
+                                  doc.get("intersections") is not None else None)
 
 
 def cmd_reeb(args) -> int:
@@ -254,7 +270,8 @@ def cmd_reeb(args) -> int:
         targets = [source]
         if args.target.startswith("barrier:"):
             k, = parse_numbers(args.target.split(":")[1], int, 1)
-            targets += reeb3.legendrian_graph(S, k)
+            with malformed_input():
+                targets += reeb3.legendrian_graph(S, k)
         elif args.target != "self":
             targets += [_load_knot(S, args.target)]
         lines = ["direction,start_param,T,distance,transversal"]
@@ -266,11 +283,15 @@ def cmd_reeb(args) -> int:
         write_text(args.csv, "\n".join(lines) + "\n")
         return 0
     if args.action == "sweep":
+        if args.k < 2:
+            raise SpecError("reeb sweep needs --k >= 2")
         sw = reeb3.hopf_sweep(args.k)
         print(f"components of the complement: {sw.component_count}")
         print("Hopf disc areas:", " ".join(f"{a:.6f}" for a in sw.disc_areas))
         return 0 if sw.component_count == args.k else 1
     if args.action == "torus":
+        if args.T <= 0 or args.eps <= 0:
+            raise SpecError("reeb torus needs --T > 0 and --eps > 0")
         knot = _load_knot(S, args.knot)
         tor = reeb3.mohnke_torus(S, knot, args.T, args.eps)
         print(f"generator actions: ({tor.action_knot:.3e}, {tor.action_disc:.9f})")
@@ -288,10 +309,7 @@ def _load_knot(S, spec: str) -> reeb3.LegendrianCurve:
     if spec == "lift":
         return reeb3.legendrian_lift(S)
     if spec.endswith(".json"):
-        with open(spec) as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise SpecError(f"knot file {spec!r} does not hold a JSON object")
+        doc = json_object(spec, "knot")
         return reeb3.LegendrianCurve(doc.get("name", "file"),
                                      np.array(doc["points"]),
                                      closed=bool(doc.get("closed", True)),

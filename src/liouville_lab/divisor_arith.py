@@ -398,7 +398,7 @@ def chekanov_excluded(A_min: float, a: float, b: float) -> bool:
 # ---------------------------------------------------------------------------
 
 def verify_flux_identity(annulus_area: float, period: float, t: float,
-                         loop: np.ndarray | None = None, n_steps: int = 400) -> float:
+                         loop: np.ndarray | None = None) -> float:
     """Residual of int_{phi^t gamma} alpha' - int_gamma alpha' - t int_gamma theta.
 
     The model annulus is {r1 < |x| < r2} in the plane with alpha' the standard
@@ -416,27 +416,16 @@ def verify_flux_identity(annulus_area: float, period: float, t: float,
             [np.cos(3 * s), np.sin(2 * s)], axis=1)
 
     k = period / (2.0 * np.pi)
-
-    def field(x):
-        # X defined by omega(X, .) = theta: radial, r rdot = k
-        return k * x / np.sum(x * x, axis=1, keepdims=True)
-
-    def flow_all(x0):
-        r = np.hypot(x0[:, 0], x0[:, 1])
-        if np.any(r < r1 * 0.999) or np.any(r > r2 * 1.001):
-            raise DivisorError("loop exits the annulus under the flow")
-        y = np.array(x0, dtype=float)
-        h = t / n_steps
-        for _ in range(n_steps):
-            k1 = field(y)
-            k2 = field(y + 0.5 * h * k1)
-            k3 = field(y + 0.5 * h * k2)
-            k4 = field(y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        r = np.hypot(y[:, 0], y[:, 1])
-        if np.any(r < r1 * 0.98) or np.any(r > r2 * 1.02):
-            raise DivisorError("loop exits the annulus under the flow")
-        return y
+    loop = np.asarray(loop, dtype=float)
+    # X defined by omega(X, .) = theta is radial, k x / |x|^2: |x|^2 grows by
+    # 2kt, and the flow is exactly x sqrt(1 + 2kt / |x|^2)
+    rr = np.sum(loop * loop, axis=1)
+    if np.any(rr < (r1 * 0.999) ** 2) or np.any(rr > (r2 * 1.001) ** 2):
+        raise DivisorError("loop exits the annulus under the flow")
+    rr_t = rr + 2.0 * k * t
+    if np.any(rr_t < (r1 * 0.98) ** 2) or np.any(rr_t > (r2 * 1.02) ** 2):
+        raise DivisorError("loop exits the annulus under the flow")
+    moved = loop * np.sqrt(rr_t / rr)[:, None]
 
     def action(points):
         # integral of alpha' = (x dy - y dx)/2 over the closed polyline
@@ -444,10 +433,7 @@ def verify_flux_identity(annulus_area: float, period: float, t: float,
         q = np.roll(p, -1, axis=0)
         return 0.5 * float(np.sum(p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]))
 
-    moved = flow_all(np.asarray(loop, dtype=float))
-    theta_period = period * _winding(loop)
-    res = action(moved) - action(loop) - t * theta_period
-    return float(res)
+    return float(action(moved) - action(loop) - t * period * _winding(loop))
 
 
 def _winding(loop: np.ndarray) -> float:

@@ -94,8 +94,3 @@ class SegmentIndex:
             if reach <= r:
                 return d
             r = reach
-
-
-def gauss_legendre(n: int):
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (nodes + 1.0), 0.5 * weights  # on [0, 1]

@@ -49,6 +49,11 @@ GRID_BAND_GEOM = 1e-3
 BRANCH_DEVIATION = 2e-4
 # largest leaf-chart area fraction a t^2 / a of a weight-splitting disc
 SPLIT_R_FRAC = 0.09
+# fixed RK4 steps of each compactly supported push of a split form
+PUSH_STEPS = 24
+# quadrature nodes of the residue loop integrals of forms and split forms
+RESIDUE_LOOP_N = 512
+SPLIT_LOOP_N = 96
 
 
 class FoliationError(ValueError):
@@ -535,7 +540,7 @@ class LiouvilleForm2D:
             return fc.p + min_image(np.asarray(x) - fc.p, self.grid.period)
         return np.asarray(x, dtype=float)
 
-    def residue_loop_integral(self, face: int, rho: float, n: int = 512) -> float:
+    def residue_loop_integral(self, face: int, rho: float) -> float:
         """Quadrature of the loop integral of lambda on {R~ = rho} around p."""
         fc = self.faces[face]
         if rho <= 0 or rho >= fc.area:
@@ -543,13 +548,13 @@ class LiouvilleForm2D:
         t = np.sqrt(rho / fc.area)
         if t >= self._leaf_clearance(fc):
             raise DomainError("loop leaves the marked-point chart")
-        thetas = (np.arange(n) + 0.5) / n
+        thetas = (np.arange(RESIDUE_LOOP_N) + 0.5) / RESIDUE_LOOP_N
         total = 0.0
         for th in thetas:
             x = fc.leaf(th, t)
             dx = t * fc.boundary_velocity(th)
             total += float(perp(fc.X(x, fc.labels(x)[1])) @ dx)
-        return total / n
+        return total / RESIDUE_LOOP_N
 
     def _leaf_clearance(self, fc: FaceChart) -> float:
         """Largest t0 such that every leaf point with t < t0 avoids all charts."""
@@ -856,49 +861,44 @@ class SplitForm2D:
         self.d2 = fc.p - self.p2
 
     # -- bump Hamiltonian pushes -------------------------------------------
-    def _beta(self, rho2: float) -> float:
-        lo, hi = self.r_core**2, (0.85 * self.r_D) ** 2
-        if rho2 <= lo:
-            return 1.0
-        if rho2 >= hi:
-            return 0.0
-        u = (rho2 - lo) / (hi - lo)
-        return 1.0 - u * u * (3.0 - 2.0 * u)
-
-    def _beta_prime(self, rho2: float) -> float:
+    def _beta(self, rho2: float) -> tuple:
+        """The smoothstep bump and its first two derivatives in rho2 = |v|^2."""
         lo, hi = self.r_core**2, (0.85 * self.r_D) ** 2
         if rho2 <= lo or rho2 >= hi:
-            return 0.0
-        u = (rho2 - lo) / (hi - lo)
-        return -(6.0 * u - 6.0 * u * u) / (hi - lo)
+            return float(rho2 <= lo), 0.0, 0.0    # 1 on the core, 0 outside
+        w = hi - lo
+        u = (rho2 - lo) / w
+        return (1.0 - u * u * (3.0 - 2.0 * u), -(6.0 * u - 6.0 * u * u) / w,
+                -(6.0 - 12.0 * u) / (w * w))
 
-    def _push_field(self, d: np.ndarray, x: np.ndarray) -> np.ndarray:
-        # X_H for H = (d x v) beta(|v|^2), v = x - p: equals d on the core
-        v = x - self.fc.p
-        rho2 = float(v @ v)
-        b = self._beta(rho2)
-        db = self._beta_prime(rho2)
-        H_grad = np.array([-d[1], d[0]]) * b + float(d[0] * v[1] - d[1] * v[0]) * db * 2.0 * v
-        return np.array([H_grad[1], -H_grad[0]])
+    def _push_field(self, d: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """d/ds of z = (y, J) along X_H, H = (d x v) beta(|v|^2), v = y - p:
+        X_H and DX_H J are the quarter turns (a, b) -> (b, -a) of grad H and
+        of Hess H J. On the core X_H = d and DX_H = 0."""
+        (v0, v1), (d0, d1) = (z[:2] - self.fc.p).tolist(), d.tolist()
+        j00, j01, j10, j11 = z[2:].tolist()
+        b, db, ddb = self._beta(v0 * v0 + v1 * v1)
+        c = d0 * v1 - d1 * v0                    # d x v, gradient g = (-d1, d0)
+        Hx, Hy = -d1 * b + c * db * 2.0 * v0, d0 * b + c * db * 2.0 * v1
+        # Hess H = 2 b' (g v^T + v g^T) + 4 c b'' v v^T + 2 c b' I
+        Hxx = -4.0 * db * d1 * v0 + 4.0 * c * ddb * v0 * v0 + 2.0 * c * db
+        Hxy = 2.0 * db * (d0 * v0 - d1 * v1) + 4.0 * c * ddb * v0 * v1
+        Hyy = 4.0 * db * d0 * v1 + 4.0 * c * ddb * v1 * v1 + 2.0 * c * db
+        return np.array([Hy, -Hx, Hxy * j00 + Hyy * j10, Hxy * j01 + Hyy * j11,
+                         -Hxx * j00 - Hxy * j10, -Hxx * j01 - Hxy * j11])
 
-    def _push(self, d: np.ndarray, x: np.ndarray, n_steps: int = 24) -> np.ndarray:
-        y = np.array(x, dtype=float)
-        h = 1.0 / n_steps
-        for _ in range(n_steps):
-            k1 = self._push_field(d, y)
-            k2 = self._push_field(d, y + 0.5 * h * k1)
-            k3 = self._push_field(d, y + 0.5 * h * k2)
-            k4 = self._push_field(d, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return y
-
-    def _push_jacobian(self, d: np.ndarray, x: np.ndarray, h: float = 1e-7) -> np.ndarray:
-        J = np.empty((2, 2))
-        for i in range(2):
-            e = np.zeros(2)
-            e[i] = h
-            J[:, i] = (self._push(d, x + e) - self._push(d, x - e)) / (2 * h)
-        return J
+    def _push(self, d: np.ndarray, x: np.ndarray) -> tuple:
+        """The time-1 RK4 push of x along X_H and its Jacobian J. J runs in
+        the same RK4 steps, so it is the derivative of the RK4 map itself."""
+        z = np.array([x[0], x[1], 1.0, 0.0, 0.0, 1.0], dtype=float)
+        h = 1.0 / PUSH_STEPS
+        for _ in range(PUSH_STEPS):
+            k1 = self._push_field(d, z)
+            k2 = self._push_field(d, z + 0.5 * h * k1)
+            k3 = self._push_field(d, z + 0.5 * h * k2)
+            k4 = self._push_field(d, z + h * k3)
+            z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        return z[:2], z[2:].reshape(2, 2)
 
     def in_disc(self, x) -> bool:
         v = np.asarray(x, dtype=float) - self.fc.p
@@ -911,26 +911,24 @@ class SplitForm2D:
         a = self.fc.area
         out = np.zeros(2)
         for w, d in ((self.a1 / a, self.d1), (self.a2 / a, self.d2)):
-            y = self._push(d, x)
-            J = self._push_jacobian(d, x)
+            y, J = self._push(d, x)
             out += w * (self.base.eval_lambda(y) @ J)
         return out
 
     def eval_X(self, x) -> np.ndarray:
-        lam = self.eval_lambda(x)
-        return np.array([lam[1], -lam[0]])  # omega(X, .) = lambda
+        return -perp(self.eval_lambda(x))  # omega(X, .) = lambda
 
-    def residue_loop_integral(self, which: int, rho_geom: float, n: int = 96) -> float:
+    def residue_loop_integral(self, which: int, rho_geom: float) -> float:
         """Loop integral of the split form around p1 (which=1) or p2 (which=2)
         on the euclidean circle of radius rho_geom."""
         c = self.p1 if which == 1 else self.p2
         if rho_geom >= 0.5 * np.linalg.norm(self.p1 - self.p2):
             raise DomainError("loop would enclose both split points")
-        ang = TWO_PI * (np.arange(n) + 0.5) / n
+        ang = TWO_PI * (np.arange(SPLIT_LOOP_N) + 0.5) / SPLIT_LOOP_N
         total = 0.0
         for aa in ang:
             x = c + rho_geom * np.array([np.cos(aa), np.sin(aa)])
-            dx = rho_geom * TWO_PI * np.array([-np.sin(aa), np.cos(aa)]) / n
+            dx = rho_geom * TWO_PI * np.array([-np.sin(aa), np.cos(aa)]) / SPLIT_LOOP_N
             total += float(self.eval_lambda(x) @ dx)
         return total
 
@@ -972,5 +970,4 @@ class SplitForm2D:
 
 def split_weights(form: LiouvilleForm2D, face: int, parts) -> SplitForm2D:
     """Replace the residue -a of one face by residues -a1, -a2 at two points."""
-    a1, a2 = parts
-    return SplitForm2D(form, face, a1, a2)
+    return SplitForm2D(form, face, *parts)

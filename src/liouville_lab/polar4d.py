@@ -12,8 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import gauss_legendre
 from .liouville2d import LiouvilleForm2D
+
+# Gauss-Legendre nodes on each segment of an action integral
+GAUSS_POINTS = 8
+# quadrature nodes of a fiber loop integral of the model disc bundle
+FIBER_LOOP_N = 64
 
 
 @dataclass
@@ -72,10 +76,11 @@ class ProductPolarization:
             return Classification4("basin", hits[0][1], hits[0][0])
         return Classification4("undecided")
 
-    def action_integral(self, loop4: np.ndarray, n_gauss: int = 8) -> float:
+    def action_integral(self, loop4: np.ndarray) -> float:
         """Loop integral of lambda over a closed 4-polyline (last != first)."""
         loop4 = np.asarray(loop4, dtype=float)
-        nodes, weights = gauss_legendre(n_gauss)
+        nodes, weights = np.polynomial.legendre.leggauss(GAUSS_POINTS)
+        nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights  # on [0, 1]
         total = 0.0
         m = len(loop4)
         for i in range(m):
@@ -148,13 +153,13 @@ class ModelDiscBundle:
     def eval(self, pt) -> tuple:
         return self.omega_matrix(pt), self.lambda_covector(pt), self.liouville_vector(pt)
 
-    def fiber_loop_integral(self, R: float, n: int = 64) -> float:
+    def fiber_loop_integral(self, R: float) -> float:
         """Integral of lambda0 over the fiber circle at radius R (base fixed)."""
         # fibers have db = 0 and d(theta) = 1 per revolution
-        thetas = np.linspace(0.0, 1.0, n, endpoint=False)
+        thetas = np.linspace(0.0, 1.0, FIBER_LOOP_N, endpoint=False)
         val = 0.0
         for th in thetas:
             lam = self.lambda_covector([0.3, -0.2, R, th])
-            val += float(lam @ np.array([0.0, 0.0, 0.0, 1.0])) / n
+            val += float(lam @ np.array([0.0, 0.0, 0.0, 1.0])) / FIBER_LOOP_N
         return val
 

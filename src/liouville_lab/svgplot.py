@@ -8,6 +8,8 @@ import numpy as np
 
 PALETTE = ["#4e79a7", "#f28e2b", "#59a14f", "#e15759", "#b07aa1",
            "#76b7b2", "#edc948", "#ff9da7", "#9c755f", "#bab0ac"]
+# leaves drawn per face of a foliation
+FOLIATION_LEAVES = 28
 
 
 def _fmt(x: float) -> str:
@@ -82,10 +84,10 @@ def draw_grid(grid, scene: Scene | None = None) -> Scene:
     return sc
 
 
-def draw_foliation(form, n_leaves=28, scene: Scene | None = None) -> Scene:
+def draw_foliation(form, scene: Scene | None = None) -> Scene:
     sc = draw_grid(form.grid, scene or Scene(world=world_of_grid(form.grid)))
     for fc in form.faces:
-        for th in (np.arange(n_leaves) + 0.5) / n_leaves:
+        for th in (np.arange(FOLIATION_LEAVES) + 0.5) / FOLIATION_LEAVES:
             leaf = np.array([fc.leaf(th, t) for t in np.linspace(0.02, 1.0, 40)])
             sc.polyline(leaf, color="#8888cc", width=0.7, opacity=0.9)
         for vid, th in fc.vertex_thetas:

@@ -53,14 +53,33 @@ def test_tracer_restores_every_patched_attribute():
         assert not changed, (ns, changed)
 
 
+def _counting_factory(factory, rows: list):
+    """`factory` with each `dist.batch(X, cap)` call logged as (len(X), cap)."""
+    def counting_factory(targets):
+        dist = factory(targets)
+        batch = dist.batch
+
+        def counted(X, cap=np.inf):
+            rows.append((len(X), cap))
+            return batch(X, cap=cap)
+        dist.batch = counted
+        return dist
+    return counting_factory
+
+
 def test_chord_zoom_queries_distance_in_batches():
-    # the zoom evaluates its rows through dist.batch; scalar distance
-    # queries are left to the polish and one zoom centre per candidate
+    # the zoom evaluates its rows through dist.batch, uncapped and at most
+    # 7 points a row, apart from the seed grid's capped blocks; scalar
+    # distance queries are left to the polish and one zoom centre per
+    # candidate
     lib, Tracer = _load()
     reeb3 = lib.reeb3
     S = reeb3.StarshapedHypersurface("sphere")
     knot = reeb3.legendrian_great_circle(S)
     targets = [knot, *reeb3.legendrian_graph(S, 3, n_samples=512)]
+    rows = []
+    factory = reeb3.target_distance_factory
+    reeb3.target_distance_factory = _counting_factory(factory, rows)
     tracer = Tracer()
     try:
         tracer.install(lib)
@@ -68,13 +87,14 @@ def test_chord_zoom_queries_distance_in_batches():
                                     n_seed=24, n_time=32)
     finally:
         tracer.uninstall()
+        reeb3.target_distance_factory = factory
     assert chords
     counts = tracer.counts
     assert counts["reeb3.polish.calls"] > 0
     assert (counts["reeb3.target_distance.calls"]
             <= counts["reeb3.polish.nfev"] + counts["reeb3.polish.calls"])
-    # the (s, t) grid has at most 24 seeds x (48 + 32) times
-    assert counts["reeb3.target_distance.batch_points"] > 24 * (48 + 32)
+    zoom = [n for n, cap in rows if not np.isfinite(cap)]
+    assert zoom and max(zoom) <= 7
 
 
 def test_grid_distance_measures_few_segments():
@@ -135,21 +155,9 @@ def test_chord_grid_is_measured_only_up_to_the_stop():
     n_t = len(np.unique(np.concatenate([
         np.geomspace(reeb3.CHORD_T_MIN, T_max, 48),
         np.linspace(reeb3.CHORD_T_MIN, T_max, n_time)])))
-    capped = []
+    rows = []
     factory = reeb3.target_distance_factory
-
-    def counting_factory(targets):
-        dist = factory(targets)
-        batch = dist.batch
-
-        def counted(X, cap=np.inf):
-            if np.isfinite(cap):
-                capped.append(len(X))
-            return batch(X, cap=cap)
-        dist.batch = counted
-        return dist
-
-    reeb3.target_distance_factory = counting_factory
+    reeb3.target_distance_factory = _counting_factory(factory, rows)
     tracer = Tracer()
     try:
         tracer.install(lib)
@@ -158,6 +166,7 @@ def test_chord_grid_is_measured_only_up_to_the_stop():
     finally:
         tracer.uninstall()
         reeb3.target_distance_factory = factory
+    capped = [n for n, cap in rows if np.isfinite(cap)]
     assert chords and chords[0].T < T_max / 2
     assert capped and all(n == n_seed * reeb3.GRID_ROW_BLOCK for n in capped)
     # an eager grid measures all n_seed x n_t points in one capped query

@@ -71,6 +71,11 @@ def test_malformed_grid_file_is_exit_2(tmp_path):
     ("reeb", "chords", "--surface", "bumped:-5"),
     ("reeb", "chords", "--surface", "bumped:-4"),
     ("reeb", "chords", "--surface", "bumped:nan"),
+    # arguments out of range
+    ("polar4", "sdb", "--c1", "0"),
+    ("reeb", "sweep", "--k", "1"),
+    ("reeb", "chords", "--target", "barrier:1"),
+    ("reeb", "torus", "--T", "-1"),
 ])
 def test_malformed_spec_is_exit_2(args):
     r = run_cli(*args)
@@ -182,6 +187,17 @@ def test_feasible_morphism_files(tmp_path):
     assert "feasible" in r.stdout
 
 
+@pytest.mark.parametrize("field", ["genus", "area"])
+def test_divisor_file_with_a_non_numeric_field_is_exit_2(tmp_path, capsys, field):
+    comp = {"genus": 1, "boundary": 3, "area": 3, "weight": 1}
+    comp[field] = "x"
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"components": [comp]}))
+    assert cli.main(["feasible", "morphism", "--source", str(path),
+                     "--target", str(path)]) == 2
+    assert "error" in capsys.readouterr().err.lower()
+
+
 def test_sdb_probe():
     r = run_cli("polar4", "sdb", "--c1", "3", "--area", "2",
                 "--probe", "0,0,0.6666666666666666,0")
@@ -205,6 +221,8 @@ def test_check_all_exit_zero():
     ("grid", "info", "{path}"),
     ("reeb", "chords", "--source", "{path}"),
     ("reeb", "chords", "--target", "{path}"),
+    ("feasible", "morphism", "--source", "{path}", "--target", "{path}"),
+    ("liouville", "flow", "--form", "{path}"),
 ])
 @pytest.mark.parametrize("doc", [[1, 2], "grid", 3.5, None])
 def test_json_file_that_is_not_an_object_is_exit_2(tmp_path, capsys, argv, doc):

@@ -317,8 +317,8 @@ def test_flux_identity():
     s = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
     rho = 1.2
     loop = np.stack([rho * np.cos(s), rho * np.sin(s)], axis=1)
-    res1 = verify_flux_identity(3.0, 0.25, 1.0, loop=loop, n_steps=1600)
-    res2 = verify_flux_identity(3.0, 0.25, 2.0, loop=loop, n_steps=1600)
+    res1 = verify_flux_identity(3.0, 0.25, 1.0, loop=loop)
+    res2 = verify_flux_identity(3.0, 0.25, 2.0, loop=loop)
     assert abs(res1) < 1e-6 and abs(res2) < 1e-6
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
@@ -467,6 +467,61 @@ def test_split_basin_equality(radial4_form):
         else:
             base = f.flow(x, 15.0)
             assert base.face == i
+
+
+def _stage_pieces(sf, d, x):
+    """The piece of the bump (core 0, ramp 1, outside 2) at each RK4 stage
+    of the push of x. beta'' jumps between pieces, so the RK4 map is smooth
+    only on a set of start points whose stages keep their pieces."""
+    lo, hi = sf.r_core**2, (0.85 * sf.r_D) ** 2
+    pieces = []
+    beta = sf._beta
+
+    def spy(rho2):
+        pieces.append(int(rho2 > lo) + int(rho2 >= hi))
+        return beta(rho2)
+
+    sf._beta = spy
+    try:
+        sf._push(d, x)
+    finally:
+        del sf._beta
+    return pieces
+
+
+@settings(max_examples=80, deadline=None)
+@given(r=st.floats(0.0, 1.0), ang=st.floats(0.0, TWO_PI),
+       part=st.sampled_from([0.3, 0.5]), which=st.sampled_from([1, 2]))
+def test_push_jacobian_is_the_derivative_of_the_push(radial4_form, r, ang,
+                                                     part, which):
+    f = radial4_form
+    a = f.faces[0].area
+    sf = split_weights(f, 0, (part * a, (1 - part) * a))
+    d = sf.d1 if which == 1 else sf.d2
+    x = sf.fc.p + r * sf.r_D * np.array([np.cos(ang), np.sin(ang)])
+    # reference: central difference of the pushed point, on a stencil where
+    # the RK4 map is smooth
+    h = 1e-7
+    pieces = _stage_pieces(sf, d, x)
+    assume(all(_stage_pieces(sf, d, x + s * h * e) == pieces
+               for e in np.eye(2) for s in (1, -1)))
+    fd = np.column_stack([(sf._push(d, x + h * e)[0] - sf._push(d, x - h * e)[0])
+                          / (2 * h) for e in np.eye(2)])
+    _, J = sf._push(d, x)
+    assert np.abs(J - fd).max() < 1e-6
+
+
+def test_push_is_a_translation_on_the_core(radial4_form):
+    # on the core X_H = d and DX_H = 0: J stays the identity bit for bit
+    f = radial4_form
+    a = f.faces[0].area
+    sf = split_weights(f, 0, (0.3 * a, 0.7 * a))
+    for ang in np.linspace(0.0, TWO_PI, 7):
+        x = sf.fc.p + 0.2 * sf.r_D * np.array([np.cos(ang), np.sin(ang)])
+        for d in (sf.d1, sf.d2):
+            y, J = sf._push(d, x)
+            assert np.array_equal(J, np.eye(2))
+            assert np.abs(y - (x + d)).max() < 1e-15
 
 
 def test_gamma_samples_stay_put(radial3_form):
