@@ -293,7 +293,11 @@ def cmd_reeb(args) -> int:
         if args.T <= 0 or args.eps <= 0:
             raise SpecError("reeb torus needs --T > 0 and --eps > 0")
         knot = _load_knot(S, args.knot)
-        tor = reeb3.mohnke_torus(S, knot, args.T, args.eps)
+        try:
+            tor = reeb3.mohnke_torus(S, knot, args.T, args.eps)
+        except reeb3.ChordHypothesisError as exc:
+            print(f"no torus: {exc}", file=sys.stderr)
+            return 1
         print(f"generator actions: ({tor.action_knot:.3e}, {tor.action_disc:.9f})")
         print(f"omega defect: {tor.omega_defect:.3e}; disc area {tor.disc_area:.9f}")
         return 0
@@ -460,7 +464,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (SpecError, grid2d.GridError, liouville2d.FoliationError,
-            liouville2d.DomainError, da.DivisorError) as exc:
+            liouville2d.DomainError, da.DivisorError,
+            reeb3.TorusWindowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, json.JSONDecodeError, KeyError) as exc:

@@ -380,11 +380,16 @@ class VertexChart:
     def contains(self, x: np.ndarray, grid: Grid) -> bool:
         """Chart domain: the ambient ball at the vertex. The model formula
         extends smoothly past R_max (chi(R) = R there) and across the
-        boundary ray, so integration overshoots stay well defined."""
-        v = np.asarray(x, dtype=float) - self.center
+        boundary ray, so integration overshoots stay well defined. Python
+        floats, since numpy's overhead on 2-vectors dominates this test."""
+        v0 = float(x[0]) - float(self.center[0])
+        v1 = float(x[1]) - float(self.center[1])
         if grid.periodic:
-            v = min_image(v, grid.period)
-        return float(v @ v) < self.R_max / np.pi
+            # min_image in floats: float % rounds like np.mod
+            N = grid.period
+            v0 = (v0 + 0.5 * N) % N - 0.5 * N
+            v1 = (v1 + 0.5 * N) % N - 0.5 * N
+        return v0 * v0 + v1 * v1 < self.R_max / np.pi
 
     # -- model form and field ---------------------------------------------
     def model_field(self, R: float, th: float) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liouville2d import LiouvilleForm2D
+from .liouville2d import LiouvilleForm2D, Trajectory
 
 # Gauss-Legendre nodes on each segment of an action integral
 GAUSS_POINTS = 8
@@ -32,6 +32,14 @@ class Classification4:
     kind: str                  # "basin" | "skeleton" | "undecided"
     component: Component4 | None = None
     t_hit: float | None = None
+
+
+def _arrival(tr: Trajectory, t_max: float) -> float:
+    """The cap a factor flow sets for the other: its arrival time if it
+    arrives before t_max, else t_max (no cap)."""
+    if tr.classification == "converged" and tr.t_plus < t_max:
+        return tr.t_plus
+    return t_max
 
 
 class ProductPolarization:
@@ -59,21 +67,38 @@ class ProductPolarization:
         return np.concatenate([self.fA.eval_X(x), self.fB.eval_X(y)])
 
     def classify4(self, point4, t_max: float = 20.0) -> Classification4:
+        """The basin component whose marked point the flow X_A + X_B reaches
+        first: p_i x D(B) when factor A arrives first (A wins ties), D(A) x
+        q_j when B does.
+
+        The factor flows race. A factor that starts in a vertex chart, where
+        its flow begins with an RK chart leg, flows second whenever the other
+        does not, and only until the first factor's arrival, the cap; it is
+        a hit only if it arrives strictly before the cap. A second factor
+        that starts in a face is not capped: its face legs are closed form.
+        Only an arrival caps, so skeleton and undecided points flow both
+        factors to t_max."""
         x, y = self.split(point4)
-        trA = self.fA.flow(x, t_max)
-        trB = self.fB.flow(y, t_max)
+        fA, fB = self.fA, self.fB
+        b_in_chart = fB.chart_at(y) is not None
+        if fA.chart_at(x) is not None and not b_in_chart:
+            trB = fB.flow(y, t_max)
+            capA, capB = _arrival(trB, t_max), t_max
+            trA = fA.flow(x, capA)
+        else:
+            trA = fA.flow(x, t_max)
+            capA, capB = t_max, (_arrival(trA, t_max) if b_in_chart else t_max)
+            trB = fB.flow(y, capB)
         if trA.classification == "skeleton" and trB.classification == "skeleton":
             return Classification4("skeleton")
-        hits = []
-        if trA.classification == "converged":
-            hits.append((trA.t_plus if trA.t_plus is not None else t_max,
-                         Component4("vertical", trA.face, self.fA.faces[trA.face].area)))
-        if trB.classification == "converged":
-            hits.append((trB.t_plus if trB.t_plus is not None else t_max,
-                         Component4("horizontal", trB.face, self.fB.faces[trB.face].area)))
+        hits = [(tr.t_plus, Component4(kind, tr.face, f.faces[tr.face].area))
+                for kind, f, tr, cap in (("vertical", fA, trA, capA),
+                                         ("horizontal", fB, trB, capB))
+                if tr.classification == "converged"
+                and (cap == t_max or tr.t_plus < cap)]
         if hits:
-            hits.sort(key=lambda h: h[0])
-            return Classification4("basin", hits[0][1], hits[0][0])
+            t_hit, comp = min(hits, key=lambda h: h[0])
+            return Classification4("basin", comp, t_hit)
         return Classification4("undecided")
 
     def action_integral(self, loop4: np.ndarray) -> float:

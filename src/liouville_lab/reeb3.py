@@ -439,10 +439,12 @@ def _component_count(S: StarshapedHypersurface, L: np.ndarray, n: int) -> int:
     rng = np.random.default_rng(7)
     g = rng.normal(size=(n, 4))
     pts = S.project(g)
-    tree_L = cKDTree(L)
-    d, _ = tree_L.query(pts, k=1)
     r = 1.0 / np.sqrt(np.pi)
     spacing = (2.0 * np.pi**2 * r**3 / n) ** (1.0 / 3.0)  # mean spacing on S^3(r)
+    # only d > 2 spacing matters: a point with no neighbour within the bound
+    # gets d = inf, and every d below it is exact
+    d, _ = cKDTree(L).query(pts, k=1,
+                            distance_upper_bound=2.0 * spacing * (1.0 + 1e-9))
     keep = pts[d > 2.0 * spacing]
     tree = cKDTree(keep)
     pairs = tree.query_pairs(3.0 * spacing, output_type="ndarray")
@@ -707,22 +709,37 @@ class LagrangianTorusSample:
     disc_area: float
 
 
+class TorusWindowError(ValueError):
+    """The chord-free window (0, 1] x [0, T + eps] is too small for the
+    smooth disc of area T that `mohnke_torus` samples."""
+
+
+class ChordHypothesisError(ValueError):
+    """`mohnke_torus` found a Reeb chord of length <= T + eps; `chord` is the
+    shortest one."""
+
+    def __init__(self, chord: ReebChord, bound: float):
+        self.chord = chord
+        super().__init__(
+            f"chord hypothesis violated: found a chord of length {chord.T:.6f}"
+            f" <= {bound:.6f} starting at parameter {chord.start_param:.4f}")
+
+
 def mohnke_torus(S: StarshapedHypersurface, knot: LegendrianCurve, T: float,
                  eps: float, extra_targets: tuple = ()) -> LagrangianTorusSample:
     """Sample iota(p, tau, t) = sqrt(tau) Phi^t(p) over the knot times a closed
     (tau, t)-curve gamma of enclosed area exactly T inside (0,1] x [0, T+eps].
 
     Requires no Reeb chord of length <= T + eps from the knot to the knot
-    union the extra target set.
+    union the extra target set: raises TorusWindowError, before the chord
+    search, when the window holds no disc, and ChordHypothesisError when the
+    search finds such a chord.
     """
+    tau_c, t_c, rho_tau, rho_t = _gamma_ellipse(T, eps)
     if chords := chord_search(S, knot, [knot, *extra_targets], T + eps, direction=1):
-        c = chords[0]
-        raise ValueError(
-            f"chord hypothesis violated: found a chord of length {c.T:.6f}"
-            f" <= {T + eps:.6f} starting at parameter {c.start_param:.4f}")
+        raise ChordHypothesisError(chords[0], T + eps)
 
     n_gamma = 512
-    tau_c, t_c, rho_tau, rho_t = _gamma_ellipse(T, eps)
     u = np.linspace(0.0, TWO_PI, n_gamma, endpoint=False)
     taus = tau_c + rho_tau * np.cos(u)
     tts = t_c + rho_t * np.sin(u)
@@ -783,7 +800,7 @@ def _gamma_ellipse(T: float, eps: float) -> tuple:
         rho_tau = 0.49
         rho_t = T / (np.pi * rho_tau)
     if rho_t > 0.499 * (T + eps):
-        raise ValueError(
+        raise TorusWindowError(
             "the chord-free window is too small for a smooth disc of area T; "
             "enlarge eps (eps >= 0.32 T suffices)")
     tau_c = 1.0 - rho_tau * 1.005

@@ -76,12 +76,23 @@ def test_malformed_grid_file_is_exit_2(tmp_path):
     ("reeb", "sweep", "--k", "1"),
     ("reeb", "chords", "--target", "barrier:1"),
     ("reeb", "torus", "--T", "-1"),
+    # no smooth disc of area T fits the chord-free window
+    ("reeb", "torus", "--T", "0.3", "--eps", "0.01"),
 ])
 def test_malformed_spec_is_exit_2(args):
     r = run_cli(*args)
     assert r.returncode == 2, r.stderr
     assert "error" in r.stderr.lower()
     assert "Traceback" not in r.stderr
+
+
+def test_reeb_torus_with_a_short_chord_is_exit_1():
+    # the great circle has Reeb chords of length 1/2 to itself on the sphere
+    r = run_cli("reeb", "torus", "--T", "0.4", "--eps", "0.15")
+    assert r.returncode == 1, r.stderr
+    assert "Traceback" not in r.stderr
+    assert "chord of length 0.500000 <= 0.550000 starting at parameter" in r.stderr
+    assert r.stdout == ""
 
 
 @pytest.mark.parametrize("doc", [

@@ -9,7 +9,7 @@ from numpy.polynomial import polynomial as P
 from liouville_lab.checks import (check_backward_complete, check_basin,
                                   check_gamma_invariance, gamma_samples,
                                   sample_off_singular)
-from liouville_lab.geom import TWO_PI, perp, shoelace_area
+from liouville_lab.geom import TWO_PI, min_image, perp, shoelace_area
 from liouville_lab.grid2d import (make_pinwheel_grid, make_radial_grid,
                                   make_sector_grid)
 from liouville_lab.integrate import rk45
@@ -201,6 +201,32 @@ def test_lambda_is_quarter_turn_of_X_against_reference(
         assert np.linalg.norm(lam - ref) <= 1e-15 * np.linalg.norm(ref)
     else:
         assert np.array_equal(lam, ref)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_chart_at_equals_the_numpy_ball_test(radial4_form, pinwheel_form,
+                                             periodic_form, data):
+    f = data.draw(st.sampled_from((radial4_form, pinwheel_form, periodic_form)))
+    c = f.charts[data.draw(st.integers(0, len(f.charts) - 1))]
+    r = c.ambient_radius() * data.draw(st.floats(0.0, 1.5))
+    ang = data.draw(st.floats(0.0, 2 * np.pi))
+    x = c.center + r * np.array([np.cos(ang), np.sin(ang)])
+    if f.grid.periodic:
+        x = x + f.grid.period * np.array(
+            data.draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2))))
+    # the first chart whose ball holds x by a numpy dot, which may round
+    # differently in the last bit, so x stays clear of every ball boundary
+    ref = None
+    for chart in f.charts:
+        v = x - chart.center
+        if f.grid.periodic:
+            v = min_image(v, f.grid.period)
+        r2 = chart.R_max / np.pi
+        assume(abs(float(v @ v) - r2) > 1e-12 * r2)
+        if ref is None and float(v @ v) < r2:
+            ref = chart
+    assert f.chart_at(x) is ref
 
 
 def test_smoothed_vertex_chart_formula(radial4_form):

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from liouville_lab import liouville2d
 from liouville_lab.checks import check_boundary_tangency, check_product_skeleton
-from liouville_lab.polar4d import ModelDiscBundle, ProductPolarization
+from liouville_lab.polar4d import (Classification4, Component4, ModelDiscBundle,
+                                   ProductPolarization)
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +64,104 @@ def test_basin_component_is_first_hit(product):
     y = fB.faces[0].leaf(0.2, 0.95)
     cls = product.classify4(np.concatenate([x, y]))
     assert cls.kind == "basin" and cls.component.kind == "vertical"
+
+
+def classify4_reference(pp, point4, t_max=20.0):
+    """Both factors flowed to t_max; the earliest arrival wins, A on ties."""
+    x, y = pp.split(point4)
+    trA, trB = pp.fA.flow(x, t_max), pp.fB.flow(y, t_max)
+    if trA.classification == "skeleton" and trB.classification == "skeleton":
+        return Classification4("skeleton")
+    hits = [(tr.t_plus, Component4(kind, tr.face, f.faces[tr.face].area))
+            for kind, f, tr in (("vertical", pp.fA, trA), ("horizontal", pp.fB, trB))
+            if tr.classification == "converged"]
+    if hits:
+        t, comp = min(hits, key=lambda h: h[0])
+        return Classification4("basin", comp, t)
+    return Classification4("undecided")
+
+
+def _factor_start(data, form, where):
+    """A start point of one factor: inside a vertex chart's ball, on a face
+    boundary (the grid or the disc boundary), or inside a face."""
+    u = data.draw(st.floats(0.0, 1.0))
+    if where == "chart":
+        c = form.charts[data.draw(st.integers(0, len(form.charts) - 1))]
+        r = 0.999 * c.ambient_radius() * np.sqrt(u)
+        ang = data.draw(st.floats(0.0, 2 * np.pi))
+        x = c.center + r * np.array([np.cos(ang), np.sin(ang)])
+        # a boundary vertex's ball reaches outside the disc
+        assume(np.hypot(*x) < 0.999 * form.grid.boundary_radius())
+        assert form.chart_at(x) is not None
+        return x
+    fc = form.faces[data.draw(st.integers(0, len(form.faces) - 1))]
+    if where == "edge":
+        return fc.boundary_point(u)
+    return fc.leaf(u, data.draw(st.floats(0.02, 0.98)))
+
+
+@pytest.fixture(scope="module")
+def races(product, radial4_form, pinwheel_form):
+    return ProductPolarization(radial4_form, pinwheel_form), product
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_classify4_race_equals_both_factors_flowed_to_t_max(races, data):
+    pp = races[data.draw(st.integers(0, 1))]
+    wheres = ("chart", "edge", "face")
+    x = _factor_start(data, pp.fA, data.draw(st.sampled_from(wheres)))
+    y = _factor_start(data, pp.fB, data.draw(st.sampled_from(wheres)))
+    p4 = np.concatenate([x, y])
+    got, ref = pp.classify4(p4), classify4_reference(pp, p4)
+    assert (got.kind, got.component) == (ref.kind, ref.component)
+    if ref.t_hit is None:
+        assert got.t_hit is None
+    else:
+        # a capped chart leg takes other rk45 steps, so its exit time moves
+        # within the flow's tolerance, amplified near a branch ray: by at
+        # most 9.7e-8 relative on 30,000 basin4 points
+        assert got.t_hit == pytest.approx(ref.t_hit, rel=1e-6)
+
+
+def test_chart_leg_runs_only_until_the_other_factor_arrives(races, monkeypatch):
+    pp = races[0]
+    c = pp.fA.charts[0]
+    x = c.center + 0.5 * c.ambient_radius() * np.array([0.6, 0.8])
+    y = pp.fB.faces[1].leaf(0.3, 0.2)    # arrives at -ln(1 - 0.04)
+    assert pp.fA.chart_at(x) is not None and pp.fB.chart_at(y) is None
+    trB = pp.fB.flow(y, 20.0)
+    assert trB.classification == "converged" and trB.t_plus < 0.05
+
+    budgets = []
+    rk45 = liouville2d.rk45
+
+    def spy(f, x0, s_end, *args, **kwargs):
+        budgets.append(s_end)
+        return rk45(f, x0, s_end, *args, **kwargs)
+
+    monkeypatch.setattr(liouville2d, "rk45", spy)
+    cls = pp.classify4(np.concatenate([x, y]))
+    assert budgets and max(budgets) <= trB.t_plus
+    assert cls.kind == "basin" and cls.component.kind == "horizontal"
+    assert cls.t_hit == trB.t_plus
+
+
+def test_a_capped_flow_that_ends_near_its_marked_point_is_no_hit(races):
+    pp = races[0]
+    c = pp.fA.charts[0]
+    x = c.center + 0.5 * c.ambient_radius() * np.array([0.6, 0.8])
+    t_a = pp.fA.flow(x, 20.0).t_plus
+    # B arrives 5e-10 before A, when A is already within the convergence
+    # radius: A's flow capped at B's arrival reports "converged" at the cap
+    y = pp.fB.faces[1].leaf(0.3, np.sqrt(-np.expm1(-(t_a - 5e-10))))
+    t_b = pp.fB.flow(y, 20.0).t_plus
+    capped = pp.fA.flow(x, t_b)
+    assert t_b < t_a and (capped.classification, capped.t_plus) == ("converged", t_b)
+    p4 = np.concatenate([x, y])
+    cls = pp.classify4(p4)
+    assert cls.component.kind == "horizontal"
+    assert cls == classify4_reference(pp, p4)
 
 
 def test_action_integrals(product, rng):
