@@ -365,8 +365,16 @@ def cmd_plot(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """No abbreviated options, here and in every subparser: `--seed` after a
+    subcommand would otherwise set its `--seeds`."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="liouville-lab",
         description="Grids, Liouville forms with prescribed skeleta, "
                     "embedding feasibility arithmetic, Reeb chords.")

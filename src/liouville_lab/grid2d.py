@@ -195,8 +195,7 @@ class Grid:
         return float(np.max(self.face_areas()))
 
     def boundary_radius(self) -> float:
-        rs = [np.max(np.linalg.norm(a.points, axis=1)) for a in self.arcs]
-        return float(max(rs))
+        return _max_radius(self.arcs)
 
     def grid_distance(self, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -288,6 +287,11 @@ def interior_point(poly: np.ndarray) -> np.ndarray:
     return best
 
 
+def _max_radius(arcs) -> float:
+    """Largest distance of an arc sample from the origin."""
+    return float(max(np.max(np.linalg.norm(a.points, axis=1)) for a in arcs))
+
+
 def flag_boundary_vertices(g: Grid):
     """Mark vertices lying on the outer boundary polygon."""
     if g.periodic:
@@ -308,10 +312,12 @@ def _boundary_polygon_radius(A: float, n_segments: int) -> float:
 
 
 def _disc_grid_from_spokes(A: float, spoke_curves: list, resolution: int,
-                           boundary_per_sector: int, marked=None) -> Grid:
+                           boundary_per_sector: int, marked_angles=None) -> Grid:
     """Assemble a disc grid whose interior arcs all run from the origin to the
     boundary circle. spoke_curves[l] maps u in [0,1] to a point of the closed
     unit disc with |f(1)| = 1; everything is rescaled to the corrected radius.
+    marked_angles puts the marked points at half the boundary radius; without
+    them they are the face centroids.
     """
     k = len(spoke_curves)
     # endpoint-clustered sampling keeps polyline chord directions at the two
@@ -358,6 +364,11 @@ def _disc_grid_from_spokes(A: float, spoke_curves: list, resolution: int,
         boundary_ids.append(len(arcs) - 1)
 
     faces = [[l, boundary_ids[l], -((l + 1) % k) - 1] for l in range(k)]
+    marked = None
+    if marked_angles is not None:
+        r_half = 0.5 * _max_radius(arcs)
+        marked = np.array([r_half * np.array([np.cos(a), np.sin(a)])
+                           for a in marked_angles])
     g = Grid(A, vertices, arcs, faces, marked)
     flag_boundary_vertices(g)
     return g
@@ -376,18 +387,10 @@ def make_radial_grid(k: int, A: float, resolution: int = ARC_RESOLUTION) -> Grid
         e = np.array([np.cos(ang), np.sin(ang)])
         return lambda u: u * e
 
-    g = _disc_grid_from_spokes(A, [spoke(l) for l in range(k)], resolution,
-                               per_sector)
-    # marked points on sector bisectors at half-radius
-    r_half = 0.5 * g.boundary_radius()
-    marked = np.array([
-        r_half * np.array([np.cos(TWO_PI * (l + 0.5) / k),
-                           np.sin(TWO_PI * (l + 0.5) / k)])
-        for l in range(k)
-    ])
-    g = Grid(A, g.vertices, g.arcs, g.faces, marked)
-    flag_boundary_vertices(g)
-    return g
+    # marked points on the sector bisectors
+    return _disc_grid_from_spokes(A, [spoke(l) for l in range(k)], resolution,
+                                  per_sector,
+                                  [TWO_PI * (l + 0.5) / k for l in range(k)])
 
 
 def make_sector_grid(A: float, fractions, resolution: int = ARC_RESOLUTION,

@@ -86,7 +86,7 @@ class FaceChart:
     area: float
     phi: np.ndarray          # increasing knot angles [rad], phi[-1] = phi[0]+2pi
     r_coef: np.ndarray       # (n,4) cubic coefficients of r per interval, lowest first
-    s_coef: list             # per interval: degree-7 coefficients of the swept area
+    s_coef: np.ndarray       # (n,8) degree-7 coefficients of the swept area, lowest first
     s_knots: np.ndarray      # cumulative swept area at knots (s[0]=0, s[-1]=area)
     vertex_thetas: list      # (vertex id, theta label of its separatrix)
     vertex_phis: np.ndarray = None  # angles of all grid vertices on the boundary
@@ -155,15 +155,15 @@ class FaceChart:
         return self.p + t * (self.boundary_point(theta) - self.p)
 
     # -- labels and closed forms --------------------------------------------
-    def labels(self, x: np.ndarray) -> tuple:
-        """(theta, t) of a point; t > 1 means outside this face."""
+    def polar(self, x: np.ndarray) -> tuple:
+        """(phi, t) of a point: its angle about p (None at p) and its leaf
+        label t; t > 1 means outside this face."""
         v = x - self.p
         r = float(np.hypot(v[0], v[1]))
         if r == 0.0:
-            return 0.0, 0.0
+            return None, 0.0
         ph = np.arctan2(v[1], v[0])
-        rb = self.r_of_phi(ph)
-        return self.theta_of_phi(ph), r / rb
+        return ph, r / self.r_of_phi(ph)
 
     def X(self, x: np.ndarray, t: float) -> np.ndarray:
         """X at a point x of this face whose leaf label is t."""
@@ -190,19 +190,11 @@ def _build_face_chart(grid: Grid, face: int, singular_ids: set,
         raise FoliationError(f"face {face}: marked point lies on the boundary")
     ph_raw = np.arctan2(v[:, 1], v[:, 0])
 
-    # identify polygon samples that are grid vertices (by wrapped position)
-    def vid_at(q):
-        key = _poskey(q, grid)
-        return vertex_pos.get(key)
-
-    # rotate so index 0 is the first singular vertex when one exists
-    start = 0
-    for i, q in enumerate(poly):
-        w = vid_at(q)
-        if w is not None and w in singular_ids:
-            start = i
-            break
-    poly = np.roll(poly, -start, axis=0)
+    # the grid vertex at each polygon sample (by wrapped position), or None;
+    # index 0 becomes the first singular vertex when one exists
+    vids = [vertex_pos.get(_poskey(q, grid)) for q in poly]
+    start = next((i for i, w in enumerate(vids) if w in singular_ids), 0)
+    vids = vids[start:] + vids[:start]
     ph_raw = np.roll(ph_raw, -start)
     r = np.roll(r, -start)
 
@@ -227,36 +219,27 @@ def _build_face_chart(grid: Grid, face: int, singular_ids: set,
     # boundary piece is interpolated without corner-induced ringing, and the
     # genuine corners sit exactly at the piece junctions (the vertex rays,
     # i.e. the separatrices of the foliation)
-    breaks = [0]
-    for i in range(1, len(poly)):
-        if vid_at(poly[i]) is not None:
-            breaks.append(i)
-    breaks.append(len(poly))
+    breaks = [0] + [i for i in range(1, len(vids)) if vids[i] is not None]
+    breaks.append(len(vids))
     r_coef = np.empty((len(h), 4))
     for b0, b1 in zip(breaks[:-1], breaks[1:]):
-        if b1 - b0 < 1:
-            continue
         r_coef[b0:b1] = _piece_coeffs(ph[b0:b1 + 1], rr[b0:b1 + 1])
 
-    s_coef = []
-    s_knots = np.empty(len(h) + 1)
-    s_knots[0] = 0.0
-    for j in range(len(h)):
-        sq = P.polymul(r_coef[j], r_coef[j])
-        sc = P.polyint(0.5 * sq)
-        s_coef.append(sc)
-        s_knots[j + 1] = s_knots[j] + P.polyval(h[j], sc)
+    # swept area s' = r^2 / 2 per interval. np.convolve is the product that
+    # P.polymul formed, so it rounds the same way; the trailing zeros that
+    # P.polymul trimmed leave the Horner sums below unchanged
+    sq = np.array([np.convolve(c, c) for c in r_coef])
+    s_coef = P.polyint(0.5 * sq, axis=1)
+    s_h = s_coef[:, -1] + h * 0                 # P.polyval at h, row-wise
+    for c in s_coef[:, -2::-1].T:
+        s_h = c + s_h * h
+    s_knots = np.concatenate([[0.0], np.cumsum(s_h)])
     area = float(s_knots[-1])
 
-    vertex_thetas = []
-    for i, q in enumerate(poly):
-        w = vid_at(q)
-        if w is not None and w in singular_ids:
-            vertex_thetas.append((w, float(s_knots[i] / area)))
-    vertex_phis = np.array([ph[b] for b in breaks[:-1]])
-
+    vertex_thetas = [(w, float(s_knots[i] / area))
+                     for i, w in enumerate(vids) if w in singular_ids]
     return FaceChart(face, p.copy(), area, ph, r_coef, s_coef, s_knots,
-                     vertex_thetas, vertex_phis)
+                     vertex_thetas, ph[breaks[:-1]])
 
 
 def _piece_coeffs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -498,24 +481,25 @@ class LiouvilleForm2D:
         return None
 
     def face_at(self, x: np.ndarray, band: float = 1e-9) -> tuple:
-        """(face index, theta, t) of the face containing x."""
+        """(face index, theta, t) of the face containing x; theta is 0 at
+        the marked point. Only that face's theta is labelled."""
         x = np.asarray(x, dtype=float)
         if self.grid.periodic:
             N = self.grid.period
             xw = np.mod(x, N)
             i, j = int(min(xw[0], N - 1e-12)), int(min(xw[1], N - 1e-12))
             fc = self.faces[j * int(N) + i]
-            q = fc.p + min_image(xw - fc.p, N)
-            th, t = fc.labels(q)
-            return fc.face, th, t
-        best = None
-        for fc in self.faces:
-            th, t = fc.labels(x)
-            if t <= 1.0 + band and (best is None or t < best[2]):
-                best = (fc.face, th, t)
-        if best is None:
-            raise DomainError("point lies outside the disc")
-        return best
+            best = (fc, *fc.polar(fc.p + min_image(xw - fc.p, N)))
+        else:
+            best = None
+            for fc in self.faces:
+                ph, t = fc.polar(x)
+                if t <= 1.0 + band and (best is None or t < best[2]):
+                    best = (fc, ph, t)
+            if best is None:
+                raise DomainError("point lies outside the disc")
+        fc, ph, t = best
+        return fc.face, 0.0 if ph is None else fc.theta_of_phi(ph), t
 
     # -- evaluators ------------------------------------------------------------
     def eval_lambda(self, x) -> np.ndarray:
@@ -558,7 +542,7 @@ class LiouvilleForm2D:
         for th in thetas:
             x = fc.leaf(th, t)
             dx = t * fc.boundary_velocity(th)
-            total += float(perp(fc.X(x, fc.labels(x)[1])) @ dx)
+            total += float(perp(fc.X(x, fc.polar(x)[1])) @ dx)
         return total / RESIDUE_LOOP_N
 
     def _leaf_clearance(self, fc: FaceChart) -> float:
@@ -597,20 +581,23 @@ class LiouvilleForm2D:
                     break
                 continue
             try:
-                i, th, t = self.face_at(x, band=1e-7)
+                i, _, t = self.face_at(x, band=1e-7)
             except DomainError:
                 return Trajectory(pts, "undecided", note="left the domain")
             if t >= 1.0 - 1e-12:
                 # on the skeleton: the face field vanishes identically
                 pts.append((t_max, float(x[0]), float(x[1])))
                 return Trajectory(pts, "skeleton", face=i)
-            s, x, done = self._face_leg(self.faces[i], th, t, s, t_max,
-                                        direction, pts)
+            # x lies on the leaf p + t u of its face; p itself on leaf 0
+            fc = self.faces[i]
+            u = ((self._face_local(fc, self.wrap(x)) - fc.p) / t if t > 0.0
+                 else fc.boundary_point(0.0) - fc.p)
+            s, x, done = self._face_leg(fc, u, t, s, t_max, direction, pts)
             if done is not None:
                 return done
             x = self.wrap(x)
         try:
-            i, th, t = self.face_at(x, band=1e-5)
+            i, _, t = self.face_at(x, band=1e-5)
         except DomainError:
             if self.grid.grid_distance(x) < GRID_BAND_GEOM:
                 return Trajectory(pts, "skeleton")
@@ -621,11 +608,11 @@ class LiouvilleForm2D:
             return Trajectory(pts, "skeleton", face=i)
         return Trajectory(pts, "undecided", face=i, note="budget exhausted")
 
-    def _leaf_chart_intervals(self, fc: FaceChart, theta: float) -> list:
-        """t-intervals along leaf theta inside the (exact, ambient) chart balls."""
+    def _leaf_chart_intervals(self, fc: FaceChart, u: np.ndarray) -> list:
+        """t-intervals along the leaf p + t u inside the (exact, ambient)
+        chart balls."""
         if not len(self._chart_radii):
             return []
-        u = fc.boundary_point(theta) - fc.p
         L2 = float(u @ u)
         out = []
         vecs = self._chart_vec(fc.p)
@@ -643,13 +630,13 @@ class LiouvilleForm2D:
         out.sort()
         return out
 
-    def _face_leg(self, fc, th, t, s, t_max, direction, pts):
-        """Closed-form leg along leaf th from label t at time s, on which
-        1 - t^2 scales by e^(direction s): forward it runs to the marked
-        point, backward towards the face boundary, either way stopping at the
-        next chart ball on the leaf or at t_max. Returns (s, x, Trajectory or
-        None while the flow goes on)."""
-        intervals = self._leaf_chart_intervals(fc, th)
+    def _face_leg(self, fc, u, t, s, t_max, direction, pts):
+        """Closed-form leg along the leaf p + t u from label t at time s, on
+        which 1 - t^2 scales by e^(direction s): forward it runs to the
+        marked point, backward towards the face boundary, either way stopping
+        at the next chart ball on the leaf or at t_max. Returns (s, x,
+        Trajectory or None while the flow goes on)."""
+        intervals = self._leaf_chart_intervals(fc, u)
         if direction > 0:
             t_stop = max((hi for lo, hi in intervals if hi < t - 1e-12),
                          default=None)
@@ -659,7 +646,7 @@ class LiouvilleForm2D:
         if t_stop is not None:
             ds = direction * np.log((1.0 - t_stop * t_stop) / (1.0 - t * t))
             if s + ds <= t_max:
-                x_new = fc.leaf(th, min(t_stop * (1.0 - direction * 1e-9), 1.0))
+                x_new = fc.p + min(t_stop * (1.0 - direction * 1e-9), 1.0) * u
                 s += ds
                 pts.append((s, float(x_new[0]), float(x_new[1])))
                 return s, x_new, None
@@ -672,7 +659,7 @@ class LiouvilleForm2D:
                     pts, "converged", face=fc.face, t_plus=s + s_star)
         t_new = np.sqrt(max(0.0, 1.0 - (1.0 - t * t)
                             * np.exp(direction * (t_max - s))))
-        x_end = fc.leaf(th, t_new)
+        x_end = fc.p + t_new * u
         pts.append((t_max, float(x_end[0]), float(x_end[1])))
         if direction < 0:
             # t -> 1 asymptotically; never reaches the boundary

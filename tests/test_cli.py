@@ -11,12 +11,15 @@ import pytest
 from liouville_lab import cli
 
 RUN = [sys.executable, "-m", "liouville_lab.cli"]
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*args, env=None):
     import os
 
     e = dict(os.environ)
+    # the subprocess imports the checkout's package, as pytest does
+    e["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, e.get("PYTHONPATH")]))
     if env:
         e.update(env)
     return subprocess.run(RUN + list(args), capture_output=True, text=True,
@@ -78,6 +81,9 @@ def test_malformed_grid_file_is_exit_2(tmp_path):
     ("reeb", "torus", "--T", "-1"),
     # no smooth disc of area T fits the chord-free window
     ("reeb", "torus", "--T", "0.3", "--eps", "0.01"),
+    # options are not abbreviated: --seed goes before the subcommand
+    ("liouville", "flow", "--grid", "radial:4", "--seeds", "8", "--seed", "7"),
+    ("reeb", "chords", "--tm", "0.5", "--targ", "self"),
 ])
 def test_malformed_spec_is_exit_2(args):
     r = run_cli(*args)

@@ -13,8 +13,9 @@ from liouville_lab.geom import TWO_PI, min_image, perp, shoelace_area
 from liouville_lab.grid2d import (make_pinwheel_grid, make_radial_grid,
                                   make_sector_grid)
 from liouville_lab.integrate import rk45
-from liouville_lab.liouville2d import (DomainError, FoliationError, build_form,
-                                       split_weights)
+from liouville_lab.liouville2d import (DomainError, FaceChart, FoliationError,
+                                       _build_face_chart, _piece_coeffs,
+                                       _poskey, build_form, split_weights)
 
 
 # -- foliation structure ------------------------------------------------------
@@ -63,6 +64,82 @@ def test_sector_half_sweep(radial4_form):
     ring = np.array([fc.boundary_point(t) for t in taus])
     area = shoelace_area(np.vstack([fc.p[None, :], ring]))
     assert area == pytest.approx(0.5 * fc.area, rel=1e-5)
+
+
+def _face_chart_reference(grid, face, singular_ids, vertex_pos) -> tuple:
+    """The per-interval face-chart builder that the one-pass
+    `_build_face_chart` replaced: (p, area, phi, r_coef, s_coef as a list of
+    trimmed rows, s_knots, vertex_thetas, vertex_phis)."""
+    poly = grid.face_polygon(face)
+    p = grid.marked_points[face]
+    v = poly - p[None, :]
+    r = np.hypot(v[:, 0], v[:, 1])
+    ph_raw = np.arctan2(v[:, 1], v[:, 0])
+
+    def vid_at(q):
+        return vertex_pos.get(_poskey(q, grid))
+
+    start = 0
+    for i, q in enumerate(poly):
+        w = vid_at(q)
+        if w is not None and w in singular_ids:
+            start = i
+            break
+    poly = np.roll(poly, -start, axis=0)
+    ph_raw = np.roll(ph_raw, -start)
+    r = np.roll(r, -start)
+    ph = np.empty(len(ph_raw) + 1)
+    ph[0] = ph_raw[0]
+    for i in range(1, len(ph_raw)):
+        ph[i] = ph_raw[i] + TWO_PI * np.ceil((ph[i - 1] - ph_raw[i]) / TWO_PI - 1e-15)
+    ph[-1] = ph[0] + TWO_PI
+    rr = np.concatenate([r, [r[0]]])
+    h = np.diff(ph)
+    breaks = [0]
+    for i in range(1, len(poly)):
+        if vid_at(poly[i]) is not None:
+            breaks.append(i)
+    breaks.append(len(poly))
+    r_coef = np.empty((len(h), 4))
+    for b0, b1 in zip(breaks[:-1], breaks[1:]):
+        r_coef[b0:b1] = _piece_coeffs(ph[b0:b1 + 1], rr[b0:b1 + 1])
+    s_coef = []
+    s_knots = np.empty(len(h) + 1)
+    s_knots[0] = 0.0
+    for j in range(len(h)):
+        sc = P.polyint(0.5 * P.polymul(r_coef[j], r_coef[j]))
+        s_coef.append(sc)
+        s_knots[j + 1] = s_knots[j] + P.polyval(h[j], sc)
+    area = float(s_knots[-1])
+    vertex_thetas = []
+    for i, q in enumerate(poly):
+        w = vid_at(q)
+        if w is not None and w in singular_ids:
+            vertex_thetas.append((w, float(s_knots[i] / area)))
+    vertex_phis = np.array([ph[b] for b in breaks[:-1]])
+    return p, area, ph, r_coef, s_coef, s_knots, vertex_thetas, vertex_phis
+
+
+def test_face_charts_equal_the_per_interval_builder(radial3_form, radial4_form,
+                                                    pinwheel_form, periodic_form):
+    # bit for bit; a row of s_coef that P.polymul trimmed is zero-padded
+    for f in (radial3_form, radial4_form, pinwheel_form, periodic_form):
+        g = f.grid
+        vertex_pos = {_poskey(v.xy, g): i for i, v in enumerate(g.vertices)}
+        singular = {i for i, v in enumerate(g.vertices) if v.valence >= 3}
+        for i in range(g.n_faces):
+            fc = _build_face_chart(g, i, singular, vertex_pos)
+            p, area, ph, r_coef, s_rows, s_knots, vth, vph = \
+                _face_chart_reference(g, i, singular, vertex_pos)
+            assert isinstance(fc.s_coef, np.ndarray)
+            assert fc.s_coef.shape == (len(fc.phi) - 1, 8)
+            for row, ref in zip(fc.s_coef, s_rows):
+                assert row[:len(ref)].tobytes() == ref.tobytes()
+                assert not row[len(ref):].any()
+            for a, b in ((fc.p, p), (fc.phi, ph), (fc.r_coef, r_coef),
+                         (fc.s_knots, s_knots), (fc.vertex_phis, vph)):
+                assert a.tobytes() == b.tobytes()
+            assert (fc.area, fc.vertex_thetas) == (area, vth)
 
 
 def test_non_star_shaped_face_rejected():
@@ -158,8 +235,53 @@ def _lambda_reference(f, x) -> np.ndarray:
         raise DomainError("lambda is singular at a marked point")
     fc = f.faces[i]
     xl = f._face_local(fc, x)
-    _, t = fc.labels(xl)
+    _, t = fc.polar(xl)
     return ((t * t - 1.0) / (2.0 * t * t)) * perp(xl - fc.p)
+
+
+def _face_at_reference(f, x, band):
+    """face_at as the loop that labelled (theta, t) on every face."""
+    def labels(fc, x):
+        v = x - fc.p
+        r = float(np.hypot(v[0], v[1]))
+        if r == 0.0:
+            return 0.0, 0.0
+        ph = np.arctan2(v[1], v[0])
+        return fc.theta_of_phi(ph), r / fc.r_of_phi(ph)
+
+    if f.grid.periodic:
+        N = f.grid.period
+        xw = np.mod(x, N)
+        i, j = int(min(xw[0], N - 1e-12)), int(min(xw[1], N - 1e-12))
+        fc = f.faces[j * int(N) + i]
+        return (fc.face, *labels(fc, fc.p + min_image(xw - fc.p, N)))
+    best = None
+    for fc in f.faces:
+        th, t = labels(fc, x)
+        if t <= 1.0 + band and (best is None or t < best[2]):
+            best = (fc.face, th, t)
+    if best is None:
+        raise DomainError("point lies outside the disc")
+    return best
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_face_at_labels_the_winner_as_the_all_faces_loop(
+        radial4_form, pinwheel_form, periodic_form, data):
+    f = data.draw(st.sampled_from((radial4_form, pinwheel_form, periodic_form)))
+    band = data.draw(st.sampled_from((1e-9, 1e-7, 1e-5)))
+    if data.draw(st.integers(0, 9)) == 0:   # a marked point itself
+        x = data.draw(st.sampled_from(f.faces)).p.copy()
+    elif f.grid.periodic:
+        N = f.grid.period
+        x = np.array([data.draw(st.floats(-N, 2 * N)) for _ in range(2)])
+    else:
+        b = 1.05 * f.grid.boundary_radius()
+        x = np.array([data.draw(st.floats(-b, b)) for _ in range(2)])
+    got = _lambda_or_error(lambda y: f.face_at(y, band), x)
+    ref = _lambda_or_error(lambda y: _face_at_reference(f, y, band), x)
+    assert got == ref
 
 
 def _lambda_or_error(fn, x):
@@ -368,6 +490,86 @@ def test_flow_examples(radial4_form):
             assert f.grid.grid_distance(np.array([px, py])) < 1e-3
 
 
+def _theta_leaf_flow(f, start, t_max, direction):
+    """f.flow with the face legs it ran before they followed their own ray:
+    each leg runs along the leaf theta that face_at labels, through
+    boundary_point(theta)."""
+    form = type(f)
+    thetas = []
+
+    def face_at(x, band=1e-9):
+        out = form.face_at(f, x, band)
+        thetas.append(out[1])
+        return out
+
+    def face_leg(fc, u, t, *rest):
+        return form._face_leg(f, fc, fc.boundary_point(thetas[-1]) - fc.p, t,
+                              *rest)
+
+    f.face_at, f._face_leg = face_at, face_leg
+    try:
+        return f.flow(start, t_max, direction)
+    finally:
+        del f.face_at, f._face_leg
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_face_legs_along_the_ray_equal_theta_leaf_legs(
+        radial4_form, pinwheel_form, periodic_form, data):
+    # Up to the first leg that ends in a chart ball the two flows run face
+    # legs from the same points, which agree to 1e-12. A chart leg from
+    # starts an ulp apart takes other rk45 steps, so its samples are
+    # compared through the classification and the arrival time only.
+    f = data.draw(st.sampled_from((radial4_form, pinwheel_form, periodic_form)))
+    fc = data.draw(st.sampled_from(f.faces))
+    x = fc.leaf(data.draw(st.floats(0.0, 1.0, exclude_max=True)),
+                data.draw(st.floats(1e-3, 0.999)))
+    x = f.wrap(x)
+    t_max = data.draw(st.sampled_from((0.5, 3.0, 20.0)))
+    direction = data.draw(st.sampled_from((1, -1)))
+    tr = f.flow(x, t_max, direction)
+    ref = _theta_leaf_flow(f, x, t_max, direction)
+    assert (tr.classification, tr.face, tr.note) == \
+        (ref.classification, ref.face, ref.note)
+    if tr.t_plus is not None or ref.t_plus is not None:
+        assert abs(tr.t_plus - ref.t_plus) <= 1e-12
+    k = next((k for k, (_, *y) in enumerate(ref.points)
+              if f.chart_at(np.array(y)) is not None), len(ref.points) - 1)
+    assert len(tr.points) > k
+    assert np.abs(np.array(tr.points[:k + 1])
+                  - np.array(ref.points[:k + 1])).max() <= 1e-12
+
+
+def test_flow_off_the_marked_point_never_inverts_theta(
+        radial4_form, pinwheel_form, periodic_form, monkeypatch):
+    # start points with t > 0, made before phi_of_theta is disabled; some
+    # legs end in a chart ball and the flow leaves it for a face again
+    forms = (radial4_form, pinwheel_form, periodic_form)
+    starts = [(f, f.wrap(fc.leaf(th, t))) for f in forms for fc in f.faces
+              for th, t in ((0.1, 0.3), (0.3, 0.6), (0.55, 0.9), (0.8, 0.95))]
+
+    def phi_of_theta(self, theta):
+        raise AssertionError("a face leg inverted theta -> phi")
+
+    monkeypatch.setattr(FaceChart, "phi_of_theta", phi_of_theta)
+    for f, x in starts:
+        for direction in (1, -1):
+            f.flow(x, 20.0, direction)
+
+
+def test_backward_flow_from_the_marked_point_keeps_leaf_zero(
+        radial4_form, pinwheel_form, periodic_form):
+    # t = 0 gives no ray: the leg runs along leaf 0, the separatrix to the
+    # first singular vertex, and stays on the skeleton
+    for f in (radial4_form, pinwheel_form, periodic_form):
+        for fc in f.faces:
+            tr = f.flow(fc.p, 20.0, direction=-1)
+            ref = _theta_leaf_flow(f, fc.p, 20.0, -1)
+            assert tr.points == ref.points
+            assert (tr.classification, tr.face) == ("skeleton", fc.face)
+
+
 def test_face_zone_flow_is_exact_exponential(radial4_form):
     f = radial4_form
     fc = f.faces[0]
@@ -380,7 +582,7 @@ def test_face_zone_flow_is_exact_exponential(radial4_form):
         tr = f.flow(fc.leaf(theta, t0), s, direction=direction)
         R_expect = a + (a * t0 * t0 - a) * np.exp(direction * s)
         end = np.asarray(tr.points[-1][1:])
-        _, t_end = fc.labels(end)
+        _, t_end = fc.polar(end)
         assert a * t_end**2 == pytest.approx(R_expect, abs=1e-10)
         assert tr.note == note
 
@@ -403,7 +605,7 @@ def test_backward_face_leg_stops_at_a_chart_ball(radial4_form):
     tr = f.flow(fc.leaf(theta, t0), 20.0, direction=-1)
     s1, x1 = tr.points[1][0], np.array(tr.points[1][1:])
     assert s1 == pytest.approx(-np.log((1 - t_stop**2) / (1 - t0**2)), abs=1e-12)
-    assert fc.labels(x1)[1] == pytest.approx(t_stop, rel=1e-8)
+    assert fc.polar(x1)[1] == pytest.approx(t_stop, rel=1e-8)
     assert f.chart_at(x1) is not None
 
 
