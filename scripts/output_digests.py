@@ -2,13 +2,18 @@
 """Print the sha256 of the output of a fixed list of seeded CLI commands.
 
     python3 scripts/output_digests.py > digests.txt
+    python3 scripts/output_digests.py --against digests.txt
 
 Each command runs through `liouville_lab.cli.main` in this one process, with
 its standard output captured, and gives one line `sha256  command`. The
 seeded outputs are deterministic, so two checkouts produce byte-identical
-outputs exactly when `diff` of their digest files is empty.
+outputs exactly when `diff` of their digest files is empty. With --against
+FILE the lines still go to standard output, and the commands whose line
+differs from FILE's (or that one of the two lacks) go to standard error;
+the exit status is 1 if there is any, else 0.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -39,16 +44,39 @@ COMMANDS = [
 ]
 
 
-def main() -> int:
+def _command(line: str) -> str:
+    """The command of a digest line: the text after the digest, without
+    the exit note."""
+    return line.split("  ", 1)[-1].split("  (exit ")[0]
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--against", metavar="FILE",
+                    help="a saved digest list to compare with")
+    args = ap.parse_args(argv)
+    lines = []
     for command in COMMANDS:
-        argv = shlex.split(f"{SEED} {command}")
+        words = shlex.split(f"{SEED} {command}")
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = cli.main(argv)
+            code = cli.main(words)
         digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
         note = f"  (exit {code})" if code else ""
-        print(f"{digest}  {' '.join(argv)}{note}", flush=True)
-    return 0
+        lines.append(f"{digest}  {' '.join(words)}{note}")
+        print(lines[-1], flush=True)
+    if args.against is None:
+        return 0
+    with open(args.against) as fh:
+        saved = {_command(ln): ln for ln in fh.read().splitlines() if ln}
+    now = {_command(ln): ln for ln in lines}
+    differ = [c for c in list(now) + [c for c in saved if c not in now]
+              if now.get(c) != saved.get(c)]
+    for c in differ:
+        print(f"differs from {args.against}: {c}", file=sys.stderr)
+    print(f"{len(differ)} of {len(now.keys() | saved.keys())} commands "
+          f"differ from {args.against}", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

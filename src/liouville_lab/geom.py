@@ -7,6 +7,8 @@ theta = angle/(2*pi), so omega = dR ^ dtheta and theta has period 1.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.spatial import cKDTree
 
@@ -42,16 +44,60 @@ def polyline_segments(polylines) -> tuple:
     return a, ab, denom
 
 
+# point-segment pairs below which `segments_distance` measures planar points
+# in Python floats: the float kernel's time grows with the pairs, the array
+# kernel's is mostly numpy call overhead, and they cross between 50 and 70
+# pairs for 1 to 9 points (2 Xeon vCPUs, CPython 3.11, numpy 2.4)
+FLOAT_PAIRS = 64
+
+
 def segments_distance(p: np.ndarray, segs: tuple) -> np.ndarray:
     """Exact distance from points p (..., d) to the union of the segments
     `segs` made by `polyline_segments`: one shared set of n segments, with
     arrays (n, d), (n, d) and (n,), or a set per point, with arrays
-    (..., n, d), (..., n, d) and (..., n)."""
+    (..., n, d), (..., n, d) and (..., n).
+
+    Planar points against a shared set, with fewer than FLOAT_PAIRS
+    point-segment pairs in all, are measured in Python floats, which give
+    the same bits."""
     a, ab, denom = segs
-    p = np.asarray(p, dtype=float)[..., None, :]
+    p = np.asarray(p, dtype=float)
+    if (a.ndim == 2 and a.shape[1] == 2 == p.shape[-1]
+            and 0 < (p.size // 2) * len(a) < FLOAT_PAIRS):
+        return _segments_distance_floats(p, segs)
+    p = p[..., None, :]
     t = np.clip(np.einsum("...nd,...nd->...n", p - a, ab) / denom, 0.0, 1.0)
     proj = a + t[..., None] * ab
     return np.min(np.linalg.norm(p - proj, axis=-1), axis=-1)
+
+
+def _segments_distance_floats(p: np.ndarray, segs: tuple) -> np.ndarray:
+    """`segments_distance` of planar points to one shared set of segments,
+    in the operation order of its array kernel: the dot product as the sum
+    of its two products, t clipped to [0, 1], the projection a + t ab, and
+    the norm the square root of the sum of the two squares. The square root
+    rounds monotonically, so it is taken of the smallest sum only."""
+    a, ab, denom = segs
+    rows = list(zip(*a.T.tolist(), *ab.T.tolist(), denom.tolist()))
+    out = []
+    for x, y in p.reshape(-1, 2).tolist():
+        best = math.inf
+        for a0, a1, b0, b1, dn in rows:
+            t = ((x - a0) * b0 + (y - a1) * b1) / dn
+            if t < 0.0:
+                t = 0.0
+            elif t > 1.0:
+                t = 1.0
+            d0 = x - (a0 + t * b0)
+            d1 = y - (a1 + t * b1)
+            d = d0 * d0 + d1 * d1
+            if d < best:
+                best = d
+            elif d != d:      # nan wins the minimum, as in np.min
+                best = d
+                break
+        out.append(math.sqrt(best))
+    return np.array(out).reshape(p.shape[:-1])[()]
 
 
 class SegmentIndex:
@@ -88,8 +134,8 @@ class SegmentIndex:
                 d1, _ = self.tree.query(p, k=1)
                 r = (float(np.min(d1)) + self.h) * (1.0 + 1e-9)
                 continue
-            d = float(np.min(segments_distance(
-                p, (a[cand], ab[cand], denom[cand]))))
+            d = float(segments_distance(
+                p, (a[cand], ab[cand], denom[cand])).min())
             reach = (d + self.h) * (1.0 + 1e-9)
             if reach <= r:
                 return d

@@ -32,10 +32,21 @@ _P = np.array([
      -1453857185 / 822651844],
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
 _POWERS = np.arange(4)
+_A_ROWS = [_A[i, :i].tolist() for i in range(7)]
+_B5_ROW, _B4_ROW = _B5.tolist(), _B4.tolist()
 
 
 # step attempts, accepted or rejected, before rk45 gives up
 MAX_ITER = 100000
+
+
+def _max(v: list) -> float:
+    """The largest of the floats v, or nan if one is nan, as numpy's max."""
+    m = v[0]
+    for w in v:
+        if w > m or w != w:
+            m = w
+    return m
 
 
 def rk45(f, x0, s_end, atol=1e-9, rtol=1e-9, stop=None, max_step=np.inf,
@@ -47,65 +58,76 @@ def rk45(f, x0, s_end, atol=1e-9, rtol=1e-9, stop=None, max_step=np.inf,
     continuous extension of the step that crosses it, and integration halts
     there. A field that raises ValueError (such as a DomainError) or
     ArithmeticError at a trial point halves the step; any other exception,
-    and a field value of the wrong shape, propagates. Returns (s, x, stopped).
+    and a field value of the wrong shape, propagates. record(s, x), if given,
+    gets each accepted point, x a new array each time. Returns (s, x,
+    stopped).
 
-    The stage slopes go into one buffer K. Each stage point is the sum, in
-    row order, of x and the products (h a_ij) k_j, and x5 and x4 the sums of
-    0 and the products b_j k_j, as one `np.add.reduce` over a work buffer.
-    For a state of two or more elements that reduce adds its rows in order;
-    for a one-element state numpy sums the rows after the first on their own,
-    which can round differently in the last bit.
+    A step works on the state and the stage slopes as flat lists of Python
+    floats, since numpy's per-call overhead dominates on the program's small
+    states. Every sum adds in row order: a stage point is
+    x + (h a_i0) k_0 + (h a_i1) k_1 + ..., and x5 and x4 are
+    x + h (0 + b_0 k_0 + b_1 k_1 + ...), so the steps equal those of a loop
+    of numpy additions bit for bit, for every state size. A one-element
+    state's stage points round differently from the array sums that rk45
+    used before, which added them in another order; no flow of the program
+    has a one-element state. The error norm is the largest |x5 - x4|, nan if
+    one is nan, as numpy's max. The dense output of a step that crosses the
+    stop event is the array product K.T @ _P.
     """
     x = np.array(x0, dtype=float)
+    s_end = float(s_end)   # numpy scalars would slow the float sums
+    shape = x.shape
+    xs = x.ravel().tolist()
+    flat = x.ndim == 1     # an array of a list needs no reshape
     s = 0.0
     h = min(max_step, s_end / 8 if s_end > 0 else 1e-3, 0.1)
     h = max(h, 1e-12)
     g0 = stop(x) if stop is not None else 1.0
-    ones = (1,) * x.ndim     # the coefficients broadcast over the state
-    A = _A.reshape((7, 7) + ones)
-    B5, B4 = _B5.reshape((7,) + ones), _B4.reshape((7,) + ones)
-    K = np.empty((7,) + x.shape)
-    W = np.empty((8,) + x.shape)     # x, then the stage products
-    WB = np.zeros((8,) + x.shape)    # 0, then the weighted slopes
     for _ in range(MAX_ITER):
         if s >= s_end:
             return s, x, False
         h = min(h, s_end - s)
-        hA = h * A
-        W[0] = x
-        ok = True
-        for i in range(7):
-            np.multiply(hA[i, :i], K[:i], out=W[1:i + 1])
-            xi = np.add.reduce(W[:i + 1], axis=0)
+        ks = []      # the stage slopes, flattened
+        for row in _A_ROWS:
+            xi = []
+            for e, v in enumerate(xs):
+                for a, k in zip(row, ks):
+                    v += h * a * k[e]
+                xi.append(v)
             try:
-                k = np.asarray(f(xi), dtype=float)
+                k = np.asarray(f(np.array(xi) if flat else
+                                 np.array(xi).reshape(shape)), dtype=float)
             except (ValueError, ArithmeticError):
-                ok = False
                 break
-            if k.shape != x.shape:
+            if k.shape != shape:
                 raise ValueError(f"field returned shape {k.shape} "
-                                f"for a state of shape {x.shape}")
-            K[i] = k
-        if not ok:
+                                 f"for a state of shape {shape}")
+            ks.append(k.ravel().tolist())
+        if len(ks) < 7:
             h *= 0.5
             if h < 1e-14:
                 return s, x, False
             continue
-        np.multiply(B5, K, out=WB[1:])
-        x5 = x + h * np.add.reduce(WB, axis=0)
-        np.multiply(B4, K, out=WB[1:])
-        x4 = x + h * np.add.reduce(WB, axis=0)
-        err = np.abs(x5 - x4).max()
-        scale = atol + rtol * max(1.0, float(np.abs(x5).max()))
+        x5, x4 = [], []
+        for e, v in enumerate(xs):
+            w5 = w4 = 0.0
+            for b5, b4, k in zip(_B5_ROW, _B4_ROW, ks):
+                w5 += b5 * k[e]
+                w4 += b4 * k[e]
+            x5.append(v + h * w5)
+            x4.append(v + h * w4)
+        err = _max([abs(a - b) for a, b in zip(x5, x4)])
+        scale = atol + rtol * max(1.0, _max([abs(v) for v in x5]))
         if err > scale and h > 1e-13:
             h *= max(0.2, 0.9 * (scale / (err + 1e-300)) ** 0.2)
             continue
+        x5a = np.array(x5) if flat else np.array(x5).reshape(shape)
         if stop is not None:
-            g1 = stop(x5)
+            g1 = stop(x5a)
             if g0 > 0 >= g1:
                 # bisect the crossing on the step's dense output, then
                 # integrate once from the step start to the located point
-                Q = K.T @ _P
+                Q = np.array(ks).reshape((7,) + shape).T @ _P
                 lo, hi = 0.0, h
                 for _ in range(60):
                     mid = 0.5 * (lo + hi)
@@ -123,7 +145,7 @@ def rk45(f, x0, s_end, atol=1e-9, rtol=1e-9, stop=None, max_step=np.inf,
                 return s + hi, xh, True
             g0 = g1
         s += h
-        x = x5
+        x, xs = x5a, x5
         if record is not None:
             record(s, x)
         if err > 0:

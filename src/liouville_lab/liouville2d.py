@@ -295,6 +295,13 @@ class VertexChart:
     # boundary straightening
     disc_R: float = 0.0       # pi * r_out^2
     collar_scale: float = 1.0
+    # the center as floats, and its polar angle
+    _xy: tuple = field(init=False, repr=False, compare=False)
+    _angle: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._xy = (float(self.center[0]), float(self.center[1]))
+        self._angle = float(np.arctan2(self.center[1], self.center[0]))
 
     # -- chi ------------------------------------------------------------------
     def chi(self, R: float) -> float:
@@ -365,8 +372,8 @@ class VertexChart:
         extends smoothly past R_max (chi(R) = R there) and across the
         boundary ray, so integration overshoots stay well defined. Python
         floats, since numpy's overhead on 2-vectors dominates this test."""
-        v0 = float(x[0]) - float(self.center[0])
-        v1 = float(x[1]) - float(self.center[1])
+        v0 = float(x[0]) - self._xy[0]
+        v1 = float(x[1]) - self._xy[1]
         if grid.periodic:
             # min_image in floats: float % rounds like np.mod
             N = grid.period
@@ -375,13 +382,13 @@ class VertexChart:
         return v0 * v0 + v1 * v1 < self.R_max / np.pi
 
     # -- model form and field ---------------------------------------------
-    def model_field(self, R: float, th: float) -> np.ndarray:
-        """(R-dot, theta-dot) of the model field in chart coordinates; the
-        model form is R-dot dtheta - theta-dot dR."""
+    def model_field(self, R: float, th: float) -> tuple:
+        """(R-dot, theta-dot) of the model field in chart coordinates, as
+        floats; the model form is R-dot dtheta - theta-dot dR."""
         m = self.mult
         ang = TWO_PI * m * th
-        return np.array([R - self.chi(R) * math.cos(ang),
-                         self.chi_prime(R) * math.sin(ang) / (TWO_PI * m)])
+        return (R - self.chi(R) * math.cos(ang),
+                self.chi_prime(R) * math.sin(ang) / (TWO_PI * m))
 
     def X(self, x: np.ndarray, grid: Grid) -> np.ndarray:
         R, th, s = self.chart_coords(x, grid)
@@ -403,18 +410,22 @@ class VertexChart:
 
     def chart_to_ambient(self, R: float, th: float, grid: Grid) -> np.ndarray:
         """Inverse of chart_coords (modulo periodic wrapping)."""
+        return np.array(self.ambient_xy(R, th))
+
+    def ambient_xy(self, R: float, th: float) -> tuple:
+        """`chart_to_ambient` as a pair of floats."""
         r = math.sqrt(max(R, 0.0) / np.pi)
         if not self.boundary:
             ang = self.rotation + TWO_PI * th
-            return self.center + r * np.array([math.cos(ang), math.sin(ang)])
+            return (self._xy[0] + r * math.cos(ang),
+                    self._xy[1] + r * math.sin(ang))
         xt = r * math.cos(TWO_PI * th)
         yt = r * math.sin(TWO_PI * th)
         c = self.collar_scale
-        th_q = np.arctan2(self.center[1], self.center[0])
-        th_d = th_q + TWO_PI * (xt / c)
+        th_d = self._angle + TWO_PI * (xt / c)
         R_d = self.disc_R - c * yt
         rr = math.sqrt(max(R_d, 0.0) / np.pi)
-        return rr * np.array([math.cos(th_d), math.sin(th_d)])
+        return rr * math.cos(th_d), rr * math.sin(th_d)
 
     def branch_turns(self) -> np.ndarray:
         """Chart angles (in turns) of the model branches."""
@@ -677,37 +688,47 @@ class LiouvilleForm2D:
         In chart coordinates the branch rays are exact invariant lines of the
         integrated system (theta-dot vanishes to machine precision on them),
         so skeleton points are not kicked off by reprojection noise, which the
-        transverse instability would amplify by e^t.
+        transverse instability would amplify by e^t. The field, the stop
+        event and the samples work in Python floats, with the rounding of
+        `chart_to_ambient`, `min_image` and `wrap` on arrays.
         """
         budget = t_max - s
         rc = chart.ambient_radius()
-        grid = self.grid
-        R0, th0, _ = chart.chart_coords(x, grid)
+        N = self.grid.period if self.grid.periodic else None
+        c0, c1 = chart._xy
+        R0, th0, _ = chart.chart_coords(x, self.grid)
         state0 = np.array([R0, th0])
 
         def f(y):
-            return direction * chart.model_field(max(float(y[0]), 0.0), y[1])
+            R, th = y.tolist()
+            vR, vth = chart.model_field(max(R, 0.0), th)
+            return direction * vR, direction * vth
 
         def stop(y):
-            xa = chart.chart_to_ambient(y[0], y[1], grid)
-            v = xa - chart.center
-            if grid.periodic:
-                v = min_image(v, grid.period)
-            return rc * (1.0 + 1e-7) - float(np.hypot(v[0], v[1]))
+            v0, v1 = chart.ambient_xy(*y.tolist())
+            v0, v1 = v0 - c0, v1 - c1
+            if N is not None:
+                v0 = (v0 + 0.5 * N) % N - 0.5 * N
+                v1 = (v1 + 0.5 * N) % N - 0.5 * N
+            return rc * (1.0 + 1e-7) - float(np.hypot(v0, v1))
+
+        def ambient(y) -> tuple:
+            # float % rounds like np.mod
+            a0, a1 = chart.ambient_xy(*y.tolist())
+            return (a0 % N, a1 % N) if N is not None else (a0, a1)
 
         trail = []
 
         def record(si, yi):
-            trail.append((s + si, yi.copy()))
+            trail.append((s + si, yi))
 
         ds, y_new, stopped = rk45(f, state0, budget, atol=FLOW_ATOL,
                                   rtol=1e-10, stop=stop, max_step=0.5,
                                   record=record)
         for si, yi in trail[-40:]:
-            xa = self.wrap(chart.chart_to_ambient(yi[0], yi[1], grid))
-            pts.append((si, float(xa[0]), float(xa[1])))
+            pts.append((si, *ambient(yi)))
         s_new = s + ds
-        x_new = self.wrap(chart.chart_to_ambient(y_new[0], y_new[1], grid))
+        x_new = np.array(ambient(y_new))
         if not trail:
             pts.append((s_new, float(x_new[0]), float(x_new[1])))
         return s_new, x_new, stopped

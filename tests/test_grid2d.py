@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from liouville_lab import geom
 from liouville_lab.geom import (SegmentIndex, polyline_segments,
                                 segments_distance)
 from liouville_lab.grid2d import (Grid, GridError, make_periodic_grid,
@@ -296,3 +297,106 @@ def test_segment_index_widens_its_ball(p):
     d = SegmentIndex(segs).distance(p)
     ref = float(np.min(segments_distance(p, segs)))
     assert np.float64(d).tobytes() == np.float64(ref).tobytes(), (p, d, ref)
+
+
+def _kernel(limit, p, segs):
+    """segments_distance with FLOAT_PAIRS set to `limit`: 0 keeps every
+    input on the array kernel, inf sends every planar one with a shared
+    segment set to the float kernel. Returns the result or the exception's
+    type, and whether the float kernel ran."""
+    saved, floats = geom.FLOAT_PAIRS, geom._segments_distance_floats
+    ran = []
+
+    def spy(*args):
+        ran.append(True)
+        return floats(*args)
+    geom.FLOAT_PAIRS, geom._segments_distance_floats = limit, spy
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = segments_distance(p, segs)
+    except Exception as exc:  # noqa: BLE001 - compared by type
+        out = type(exc)
+    finally:
+        geom.FLOAT_PAIRS, geom._segments_distance_floats = saved, floats
+    return out, bool(ran)
+
+
+def _same(u, v) -> bool:
+    """The same exception type, or results of one type and shape with the
+    same bits, where a nan need only meet a nan: its sign and payload
+    depend on the order in which nans meet."""
+    if isinstance(u, type) or isinstance(v, type):
+        return u is v
+    if type(u) is not type(v) or np.shape(u) != np.shape(v):
+        return False
+    u, v = np.asarray(u), np.asarray(v)
+    nan = np.isnan(u)
+    return (np.array_equal(nan, np.isnan(v))
+            and u[~nan].tobytes() == v[~nan].tobytes())
+
+
+_coord = st.floats(-2.0, 2.0)
+
+
+@st.composite
+def _polylines_and_points(draw):
+    """Polylines, some with a repeated point (a zero-length segment), and
+    one point or a stack of points: anywhere, on a segment, at an endpoint
+    or non-finite."""
+    lines = []
+    for _ in range(draw(st.integers(1, 3))):
+        pts = draw(st.lists(st.tuples(_coord, _coord), min_size=2,
+                            max_size=12))
+        if draw(st.booleans()):
+            i = draw(st.integers(0, len(pts) - 1))
+            pts.insert(i, pts[i])
+        lines.append(np.array(pts))
+    a, ab, _ = polyline_segments(lines)
+    points = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["any", "segment", "endpoint",
+                                     "non-finite"]))
+        if kind == "any":
+            q = [draw(_coord), draw(_coord)]
+        elif kind == "non-finite":
+            q = [draw(st.sampled_from([np.nan, np.inf, -np.inf])),
+                 draw(st.one_of(_coord, st.just(np.inf)))]
+            q = q[::-1] if draw(st.booleans()) else q
+        else:
+            i = draw(st.integers(0, len(a) - 1))
+            w = draw(st.floats(0.0, 1.0)) if kind == "segment" else \
+                draw(st.sampled_from([0.0, 1.0]))
+            q = (a[i] + w * ab[i]).tolist()
+        points.append(q)
+    p = np.array(points)
+    return lines, (p[0] if draw(st.booleans()) else p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_polylines_and_points())
+def test_float_segment_kernel_equals_the_array_kernel(lines_and_points):
+    # up to 3 x 34 segments and 12 points: both sides of FLOAT_PAIRS
+    lines, p = lines_and_points
+    segs = polyline_segments(lines)
+    ref, on_floats = _kernel(0, p, segs)
+    assert not on_floats
+    out, on_floats = _kernel(np.inf, p, segs)
+    assert on_floats and _same(out, ref), (p, out, ref)
+    out, on_floats = _kernel(geom.FLOAT_PAIRS, p, segs)
+    assert on_floats == (len(p.reshape(-1, 2)) * len(segs[0])
+                         < geom.FLOAT_PAIRS)
+    assert _same(out, ref), (p, out, ref)
+
+
+def test_float_segment_kernel_takes_planar_shared_sets_only():
+    # a segment set per point, (N, k, d), and 4-D points stay on the array
+    # kernel at any size
+    rng = np.random.default_rng(4)
+    a, ab, denom = polyline_segments([rng.standard_normal((4, 2))])
+    per_point = (np.stack([a, a]), np.stack([ab, ab]), np.stack([denom] * 2))
+    segs4 = polyline_segments([rng.standard_normal((5, 4))])
+    for p, segs in ((rng.standard_normal((2, 2)), per_point),
+                    (rng.standard_normal(4), segs4),
+                    (rng.standard_normal((3, 4)), segs4)):
+        out, on_floats = _kernel(np.inf, p, segs)
+        assert not on_floats and np.all(np.isfinite(out))

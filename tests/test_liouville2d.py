@@ -1,11 +1,14 @@
 """Face charts, evaluators, residues, flows, splitting."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
+from liouville_lab import liouville2d
 from liouville_lab.checks import (check_backward_complete, check_basin,
                                   check_gamma_invariance, gamma_samples,
                                   sample_off_singular)
@@ -513,14 +516,59 @@ def _theta_leaf_flow(f, start, t_max, direction):
         del f.face_at, f._face_leg
 
 
+# ulps of error in a face leg's chart-ball root t_stop: the ray direction
+# u = (q - p)/t and the theta-leaf direction B(theta) - p differ by rounding
+LEG_ULPS = 32
+
+
+def _leg_time_bounds(f, points, t_max, direction) -> list:
+    """For each point of a trajectory, a bound on how far its time may move
+    when each face leg before it stops at a root t_stop that is LEG_ULPS
+    ulps off. A leg from label t that runs for ds has 1 - t_stop^2 =
+    (1 - t^2) e^(direction ds), and its time -direction log((1 - t_stop^2)
+    / (1 - t^2)) moves by 2 t_stop dt_stop / (1 - t_stop^2): 1/(1 - t_stop^2)
+    is its conditioning. A leg that ends at t_max has a time without error."""
+    bound = 1e-12
+    out = [bound]
+    for (s0, *y0), (s1, _, _) in zip(points, points[1:]):
+        if s1 < t_max and f.chart_at(np.array(y0)) is None:
+            t = f.face_at(np.array(y0))[2]
+            gap = (1.0 - t * t) * np.exp(direction * (s1 - s0))
+            bound += LEG_ULPS * np.finfo(float).eps / gap
+        out.append(bound)
+    return out
+
+
+def _assert_ray_flow_equals_theta_leaf_flow(f, x, t_max, direction):
+    # Up to the first leg that ends in a chart ball the two flows run face
+    # legs from the same points, which agree to 1e-12, at times that agree
+    # up to the legs' conditioning. A chart leg from starts an ulp apart
+    # takes other rk45 steps, so its samples are compared through the
+    # classification and the arrival time only.
+    tr = f.flow(x, t_max, direction)
+    ref = _theta_leaf_flow(f, x, t_max, direction)
+    assert (tr.classification, tr.note) == (ref.classification, ref.note)
+    # A converged trajectory's face is the face of the marked point it
+    # reached. A skeleton or undecided one ends where faces meet or may
+    # meet, and a chart leg can park it exactly at a vertex, so its face is
+    # the face_at tie-break at an end point that moved by the chart leg.
+    if tr.classification == "converged":
+        assert tr.face == ref.face
+    bounds = _leg_time_bounds(f, ref.points, t_max, direction)
+    if tr.t_plus is not None or ref.t_plus is not None:
+        assert abs(tr.t_plus - ref.t_plus) <= bounds[-1]
+    k = next((k for k, (_, *y) in enumerate(ref.points)
+              if f.chart_at(np.array(y)) is not None), len(ref.points) - 1)
+    assert len(tr.points) > k
+    gap = np.abs(np.array(tr.points[:k + 1]) - np.array(ref.points[:k + 1]))
+    assert gap[:, 1:].max() <= 1e-12
+    assert np.all(gap[:, 0] <= bounds[:k + 1])
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_face_legs_along_the_ray_equal_theta_leaf_legs(
         radial4_form, pinwheel_form, periodic_form, data):
-    # Up to the first leg that ends in a chart ball the two flows run face
-    # legs from the same points, which agree to 1e-12. A chart leg from
-    # starts an ulp apart takes other rk45 steps, so its samples are
-    # compared through the classification and the arrival time only.
     f = data.draw(st.sampled_from((radial4_form, pinwheel_form, periodic_form)))
     fc = data.draw(st.sampled_from(f.faces))
     x = fc.leaf(data.draw(st.floats(0.0, 1.0, exclude_max=True)),
@@ -528,17 +576,19 @@ def test_face_legs_along_the_ray_equal_theta_leaf_legs(
     x = f.wrap(x)
     t_max = data.draw(st.sampled_from((0.5, 3.0, 20.0)))
     direction = data.draw(st.sampled_from((1, -1)))
-    tr = f.flow(x, t_max, direction)
-    ref = _theta_leaf_flow(f, x, t_max, direction)
-    assert (tr.classification, tr.face, tr.note) == \
-        (ref.classification, ref.face, ref.note)
-    if tr.t_plus is not None or ref.t_plus is not None:
-        assert abs(tr.t_plus - ref.t_plus) <= 1e-12
-    k = next((k for k, (_, *y) in enumerate(ref.points)
-              if f.chart_at(np.array(y)) is not None), len(ref.points) - 1)
-    assert len(tr.points) > k
-    assert np.abs(np.array(tr.points[:k + 1])
-                  - np.array(ref.points[:k + 1])).max() <= 1e-12
+    _assert_ray_flow_equals_theta_leaf_flow(f, x, t_max, direction)
+
+
+# two examples the property found on periodic:2, face 0, t = 0.5, backward
+# to t_max = 20: at theta = 0.6875 the leaf ends on the radius-0.25 chart
+# circle of vertex (0, 1), and its leg time has conditioning 1.25e8; at
+# theta = 0.727866 the chart leg parks one flow at that vertex, whose face
+# is 2 while the other flow ends in face 0
+@pytest.mark.parametrize("theta", [0.6875, 0.727866])
+def test_face_legs_along_the_ray_pinned_examples(periodic_form, theta):
+    f = periodic_form
+    x = f.wrap(f.faces[0].leaf(theta, 0.5))
+    _assert_ray_flow_equals_theta_leaf_flow(f, x, 20.0, -1)
 
 
 def test_flow_off_the_marked_point_never_inverts_theta(
@@ -635,6 +685,97 @@ def test_periodic_flow(periodic_form):
     # edge point of the lattice grid stays put
     tr3 = f.flow(np.array([0.37, 1.0]), 20.0)
     assert tr3.classification == "skeleton"
+
+
+def _chart_leg_reference(form, chart, direction) -> tuple:
+    """A chart leg's field, stop event and chart inverse as the array
+    expressions they were before they moved to Python floats."""
+    rc = chart.ambient_radius()
+
+    def to_ambient(R, th):
+        r = math.sqrt(max(R, 0.0) / np.pi)
+        if not chart.boundary:
+            ang = chart.rotation + TWO_PI * th
+            return chart.center + r * np.array([math.cos(ang), math.sin(ang)])
+        xt = r * math.cos(TWO_PI * th)
+        yt = r * math.sin(TWO_PI * th)
+        c = chart.collar_scale
+        th_q = np.arctan2(chart.center[1], chart.center[0])
+        th_d = th_q + TWO_PI * (xt / c)
+        R_d = chart.disc_R - c * yt
+        rr = math.sqrt(max(R_d, 0.0) / np.pi)
+        return rr * np.array([math.cos(th_d), math.sin(th_d)])
+
+    def field(y):
+        R, th = max(float(y[0]), 0.0), y[1]
+        m = chart.mult
+        ang = TWO_PI * m * th
+        return direction * np.array([
+            R - chart.chi(R) * math.cos(ang),
+            chart.chi_prime(R) * math.sin(ang) / (TWO_PI * m)])
+
+    def stop(y):
+        v = to_ambient(y[0], y[1]) - chart.center
+        if form.grid.periodic:
+            v = min_image(v, form.grid.period)
+        return rc * (1.0 + 1e-7) - float(np.hypot(v[0], v[1]))
+
+    return field, stop, to_ambient
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_chart_leg_floats_equal_the_array_expressions(
+        radial4_form, pinwheel_form, periodic_form, data):
+    # interior and collar charts; states on and off the branch rays, at
+    # negative R (which the field and the inverse clamp) and past R_max
+    form = data.draw(st.sampled_from([radial4_form, pinwheel_form,
+                                      periodic_form]))
+    chart = form.charts[data.draw(st.integers(0, len(form.charts) - 1))]
+    direction = data.draw(st.sampled_from([1, -1]))
+    legs = []
+
+    def keep(f, x0, s_end, record=None, **kw):
+        trail = []
+
+        def both(s, x):
+            trail.append((s, x.copy()))
+            record(s, x)
+        legs.append((f, kw["stop"], trail))
+        return rk45(f, x0, s_end, record=both, **kw)
+
+    x = form.wrap(chart.chart_to_ambient(
+        chart.R_max * data.draw(st.floats(0.02, 0.95)),
+        data.draw(st.floats(0.0, 1.0, exclude_max=True)), form.grid))
+    s0 = data.draw(st.floats(0.0, 5.0))
+    t_max = s0 + data.draw(st.floats(0.5, 20.0))
+    pts = []
+    liouville2d.rk45 = keep
+    try:
+        form._chart_leg(chart, x, s0, t_max, direction, pts)
+    finally:
+        liouville2d.rk45 = rk45
+    f, stop, trail = legs[0]
+    field_ref, stop_ref, to_ambient = _chart_leg_reference(form, chart,
+                                                           direction)
+    turns = chart.branch_turns().tolist()
+    states = data.draw(st.lists(st.tuples(
+        st.floats(-0.1, 3.0),
+        st.one_of(st.sampled_from(turns), st.floats(-0.5, 1.5))),
+        min_size=32, max_size=32))
+    for R, th in states:
+        R *= chart.R_max
+        y = np.array([R, th])
+        assert np.asarray(f(y), dtype=float).tobytes() == \
+            field_ref(y).tobytes()
+        assert np.float64(stop(y)).tobytes() == \
+            np.float64(stop_ref(y)).tobytes()
+        assert chart.chart_to_ambient(R, th, form.grid).tobytes() == \
+            to_ambient(R, th).tobytes()
+    # the leg's samples: its last 40 states, mapped back and wrapped
+    ref = [(s0 + s, *map(float, form.wrap(to_ambient(y[0], y[1]))))
+           for s, y in trail[-40:]]
+    assert np.array(pts).tobytes() == np.array(ref).tobytes()
 
 
 # -- splitting ----------------------------------------------------------------
