@@ -64,7 +64,7 @@ def sample_off_singular(form: LiouvilleForm2D, n: int, rng,
         guard += 1
         x = rng.uniform(lo, hi)
         try:
-            i, th, t = form.face_at(x)
+            i, q, t = form.face_at(x)
         except DomainError:       # outside the disc
             continue
         if not (t_range[0] < t < t_range[1]):
@@ -78,7 +78,7 @@ def sample_off_singular(form: LiouvilleForm2D, n: int, rng,
         fc = form.faces[i]
         if fc.vertex_phis is not None and len(fc.vertex_phis):
             # stay off the separatrix rays (the boundary model is C0 there)
-            v = form._face_local(fc, x) - fc.p
+            v = q - fc.p
             phx = np.arctan2(v[1], v[0])
             dphi = np.abs(np.mod(phx - fc.vertex_phis + np.pi, 2 * np.pi) - np.pi)
             if np.min(dphi) * np.hypot(v[0], v[1]) < 40.0 * FD_STEP:
@@ -112,10 +112,9 @@ def check_leaf_vanishing(form: LiouvilleForm2D, n: int = 400,
     pts = sample_off_singular(form, n, rng)
     worst = 0.0
     for x in pts:
-        i, th, t = form.face_at(x)
+        i, q, _ = form.face_at(x)
         fc = form.faces[i]
-        xl = form._face_local(fc, x)
-        u = xl - fc.p
+        u = q - fc.p
         u = u / np.linalg.norm(u)
         lam = form.eval_lambda(x)
         worst = max(worst, abs(float(lam @ u)) / max(np.linalg.norm(lam), 1e-300))
@@ -154,7 +153,7 @@ def check_basin(form: LiouvilleForm2D, n: int = 2000, t_max: float = 20.0,
                               chart_margin=0.0, gamma_margin=GRID_BAND_GEOM)
     good = 0
     for x in pts:
-        i, th, t = form.face_at(x)
+        i, _, _ = form.face_at(x)
         tr = form.flow(x, t_max)
         if tr.classification == "converged" and tr.face == i:
             good += 1
@@ -182,8 +181,8 @@ def gamma_samples(form: LiouvilleForm2D) -> np.ndarray:
         radii = c.ambient_radius() * np.array(GAMMA_BRANCH_RADII)
         for turn in c.branch_turns():
             for r in radii:
-                pts.append(form.wrap(c.chart_to_ambient(np.pi * r * r, turn,
-                                                        form.grid)))
+                pts.append(form.wrap(np.array(c.ambient_xy(np.pi * r * r,
+                                                           turn))))
     return np.array(pts)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -75,6 +76,18 @@ def parse_surface(spec: str) -> reeb3.StarshapedHypersurface:
             kind, _, rest = spec.partition(":")
             params = parse_numbers(rest) if rest else ()
         return reeb3.StarshapedHypersurface(kind, tuple(params))
+
+
+def positive(kind):
+    """The argparse type of an option whose value is a finite `kind` > 0."""
+    def parse(text: str):
+        value = kind(text)
+        if not 0 < value < math.inf:      # no nan, no inf
+            raise argparse.ArgumentTypeError(
+                f"expected a finite number > 0, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__     # argparse names it when kind fails
+    return parse
 
 
 @contextmanager
@@ -305,20 +318,21 @@ def cmd_reeb(args) -> int:
 
 
 def _load_knot(S, spec: str) -> reeb3.LegendrianCurve:
-    if spec == "great-circle":
-        return reeb3.legendrian_great_circle(S)
-    if spec.startswith("torus:"):
-        p, q = parse_numbers(spec.split(":")[1], int, 2)
-        return reeb3.legendrian_torus_knot(S, p, q)
-    if spec == "lift":
-        return reeb3.legendrian_lift(S)
-    if spec.endswith(".json"):
-        doc = json_object(spec, "knot")
-        return reeb3.LegendrianCurve(doc.get("name", "file"),
-                                     np.array(doc["points"]),
-                                     closed=bool(doc.get("closed", True)),
-                                     surface=S)
-    raise SpecError(f"unknown knot spec {spec!r}")
+    with malformed_input(f"knot {spec!r}"):
+        if spec == "great-circle":
+            return reeb3.legendrian_great_circle(S)
+        if spec.startswith("torus:"):
+            p, q = parse_numbers(spec.split(":")[1], int, 2)
+            return reeb3.legendrian_torus_knot(S, p, q)
+        if spec == "lift":
+            return reeb3.legendrian_lift(S)
+        if spec.endswith(".json"):
+            doc = json_object(spec, "knot")
+            return reeb3.LegendrianCurve(doc.get("name", "file"),
+                                         np.array(doc["points"]),
+                                         closed=bool(doc.get("closed", True)),
+                                         surface=S)
+        raise SpecError(f"unknown knot spec {spec!r}")
 
 
 def cmd_check_all(args) -> int:
@@ -397,8 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--out", default="-")
     l.add_argument("--csv", default="-")
     l.add_argument("--seeds", type=int, default=64)
-    l.add_argument("--tmax", type=float, default=20.0)
-    l.add_argument("--samples", type=int, default=400)
+    l.add_argument("--tmax", type=positive(float), default=20.0)
+    l.add_argument("--samples", type=positive(int), default=400)
     l.set_defaults(func=cmd_liouville)
 
     p4 = sub.add_parser("polar4",
@@ -408,8 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     p4.add_argument("--formB", help="grid spec for the second factor")
     p4.add_argument("--area", type=float, default=1.0)
     p4.add_argument("--seeds", type=int, default=200)
-    p4.add_argument("--samples", type=int, default=300)
-    p4.add_argument("--tmax", type=float, default=20.0)
+    p4.add_argument("--samples", type=positive(int), default=300)
+    p4.add_argument("--tmax", type=positive(float), default=20.0)
     p4.add_argument("--csv", default="-")
     p4.add_argument("--c1", type=int, default=1, help="(sdb) Chern class")
     p4.add_argument("--probe", default="0,0,0.1,0.0", help="(sdb) b1,b2,R,theta")
@@ -442,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--source", default="great-circle")
     r.add_argument("--target", default="barrier:3", help="barrier:k | self | knot file")
     r.add_argument("--knot", default="great-circle")
-    r.add_argument("--tmax", type=float, default=1.0)
+    r.add_argument("--tmax", type=positive(float), default=1.0)
     r.add_argument("--T", type=float, default=0.3)
     r.add_argument("--eps", type=float, default=0.12)
     r.add_argument("--k", type=int, default=3)
@@ -452,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     ca = sub.add_parser("check-all", help="full invariant battery on one grid")
     ca.add_argument("--grid", required=True)
     ca.add_argument("--area", type=float, default=1.0)
-    ca.add_argument("--samples", type=int, default=400)
+    ca.add_argument("--samples", type=positive(int), default=400)
     ca.set_defaults(func=cmd_check_all)
 
     pl = sub.add_parser("plot", help="emit deterministic SVG scenes")

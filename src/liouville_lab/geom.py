@@ -24,8 +24,9 @@ def perp(v: np.ndarray) -> np.ndarray:
 
 
 def min_image(v, N: float):
-    """Offset v wrapped to its minimum image on the N-periodic square."""
-    return np.mod(v + 0.5 * N, N) - 0.5 * N
+    """Offset v wrapped to its minimum image on the N-periodic square: an
+    array, or a float, for which % rounds like np.mod."""
+    return (v + 0.5 * N) % N - 0.5 * N
 
 
 def shoelace_area(poly: np.ndarray) -> float:

@@ -72,7 +72,7 @@ def rk45(f, x0, s_end, atol=1e-9, rtol=1e-9, stop=None, max_step=np.inf,
     used before, which added them in another order; no flow of the program
     has a one-element state. The error norm is the largest |x5 - x4|, nan if
     one is nan, as numpy's max. The dense output of a step that crosses the
-    stop event is the array product K.T @ _P.
+    stop event is the array product K @ _P over the stage axis of K.
     """
     x = np.array(x0, dtype=float)
     s_end = float(s_end)   # numpy scalars would slow the float sums
@@ -127,7 +127,7 @@ def rk45(f, x0, s_end, atol=1e-9, rtol=1e-9, stop=None, max_step=np.inf,
             if g0 > 0 >= g1:
                 # bisect the crossing on the step's dense output, then
                 # integrate once from the step start to the located point
-                Q = np.array(ks).reshape((7,) + shape).T @ _P
+                Q = np.moveaxis(np.reshape(ks, (7,) + shape), 0, -1) @ _P
                 lo, hi = 0.0, h
                 for _ in range(60):
                     mid = 0.5 * (lo + hi)

@@ -295,6 +295,7 @@ class VertexChart:
     # boundary straightening
     disc_R: float = 0.0       # pi * r_out^2
     collar_scale: float = 1.0
+    period: float | None = None  # the grid's period; None off a periodic grid
     # the center as floats, and its polar angle
     _xy: tuple = field(init=False, repr=False, compare=False)
     _angle: float = field(init=False, repr=False, compare=False)
@@ -343,13 +344,13 @@ class VertexChart:
         return self.chi_knots
 
     # -- chart coordinates ----------------------------------------------------
-    def chart_coords(self, x: np.ndarray, grid: Grid) -> tuple:
+    def chart_coords(self, x: np.ndarray) -> tuple:
         """(R, theta, s) of x, s the chart's Cartesian position: the offset
         from the vertex, or the collar coordinates at a boundary vertex."""
         if not self.boundary:
             xi = x - self.center
-            if grid.periodic:
-                xi = min_image(xi, grid.period)
+            if self.period is not None:
+                xi = min_image(xi, self.period)
             R = np.pi * float(xi @ xi)
             th = np.mod(np.arctan2(xi[1], xi[0]) - self.rotation, TWO_PI) / TWO_PI
             return R, th, xi
@@ -367,18 +368,20 @@ class VertexChart:
     def ambient_radius(self) -> float:
         return float(np.sqrt(self.R_max / np.pi))
 
-    def contains(self, x: np.ndarray, grid: Grid) -> bool:
+    def offset(self, x0: float, x1: float) -> tuple:
+        """The offset of the point (x0, x1) from the vertex, at its minimum
+        image on a periodic grid, as floats: numpy's overhead on 2-vectors
+        dominates the ball tests that use it."""
+        v0, v1 = x0 - self._xy[0], x1 - self._xy[1]
+        if self.period is not None:
+            v0, v1 = min_image(v0, self.period), min_image(v1, self.period)
+        return v0, v1
+
+    def contains(self, x: np.ndarray) -> bool:
         """Chart domain: the ambient ball at the vertex. The model formula
         extends smoothly past R_max (chi(R) = R there) and across the
-        boundary ray, so integration overshoots stay well defined. Python
-        floats, since numpy's overhead on 2-vectors dominates this test."""
-        v0 = float(x[0]) - self._xy[0]
-        v1 = float(x[1]) - self._xy[1]
-        if grid.periodic:
-            # min_image in floats: float % rounds like np.mod
-            N = grid.period
-            v0 = (v0 + 0.5 * N) % N - 0.5 * N
-            v1 = (v1 + 0.5 * N) % N - 0.5 * N
+        boundary ray, so integration overshoots stay well defined."""
+        v0, v1 = self.offset(float(x[0]), float(x[1]))
         return v0 * v0 + v1 * v1 < self.R_max / np.pi
 
     # -- model form and field ---------------------------------------------
@@ -390,8 +393,8 @@ class VertexChart:
         return (R - self.chi(R) * math.cos(ang),
                 self.chi_prime(R) * math.sin(ang) / (TWO_PI * m))
 
-    def X(self, x: np.ndarray, grid: Grid) -> np.ndarray:
-        R, th, s = self.chart_coords(x, grid)
+    def X(self, x: np.ndarray) -> np.ndarray:
+        R, th, s = self.chart_coords(x)
         if R <= 0.0:
             return np.zeros(2)
         vR, vth = self.model_field(R, th)
@@ -408,12 +411,8 @@ class VertexChart:
         b = TWO_PI * r * w_t[0] / c
         return a * xhat + b * perp(xhat)
 
-    def chart_to_ambient(self, R: float, th: float, grid: Grid) -> np.ndarray:
-        """Inverse of chart_coords (modulo periodic wrapping)."""
-        return np.array(self.ambient_xy(R, th))
-
     def ambient_xy(self, R: float, th: float) -> tuple:
-        """`chart_to_ambient` as a pair of floats."""
+        """Inverse of chart_coords (modulo periodic wrapping), as floats."""
         r = math.sqrt(max(R, 0.0) / np.pi)
         if not self.boundary:
             ang = self.rotation + TWO_PI * th
@@ -487,30 +486,28 @@ class LiouvilleForm2D:
         """The vertex chart whose ball contains x."""
         x = np.asarray(x, dtype=float)
         for c in self.charts:
-            if c.contains(x, self.grid):
+            if c.contains(x):
                 return c
         return None
 
     def face_at(self, x: np.ndarray, band: float = 1e-9) -> tuple:
-        """(face index, theta, t) of the face containing x; theta is 0 at
-        the marked point. Only that face's theta is labelled."""
+        """(face index, q, t) of the face containing x: q is the point that
+        was labelled, x itself (the same array when x is a float array) or
+        on a periodic grid the image of wrap(x) nearest to the marked point,
+        and t is its leaf label."""
         x = np.asarray(x, dtype=float)
         if self.grid.periodic:
             N = self.grid.period
             xw = np.mod(x, N)
             i, j = int(min(xw[0], N - 1e-12)), int(min(xw[1], N - 1e-12))
             fc = self.faces[j * int(N) + i]
-            best = (fc, *fc.polar(fc.p + min_image(xw - fc.p, N)))
-        else:
-            best = None
-            for fc in self.faces:
-                ph, t = fc.polar(x)
-                if t <= 1.0 + band and (best is None or t < best[2]):
-                    best = (fc, ph, t)
-            if best is None:
-                raise DomainError("point lies outside the disc")
-        fc, ph, t = best
-        return fc.face, 0.0 if ph is None else fc.theta_of_phi(ph), t
+            q = fc.p + min_image(xw - fc.p, N)
+            return fc.face, q, fc.polar(q)[1]
+        # the first face of least label t holds x, unless t > 1 + band or nan
+        t, i = min((fc.polar(x)[1], fc.face) for fc in self.faces)
+        if not t <= 1.0 + band:
+            raise DomainError("point lies outside the disc")
+        return i, x, t
 
     # -- evaluators ------------------------------------------------------------
     def eval_lambda(self, x) -> np.ndarray:
@@ -528,17 +525,9 @@ class LiouvilleForm2D:
         x = np.asarray(x, dtype=float)
         c = self.chart_at(x)
         if c is not None:
-            return c.X(self.wrap(x), self.grid), np.inf
-        i, _, t = self.face_at(x)
-        fc = self.faces[i]
-        # the point face_at labelled: x itself, or on a periodic grid the
-        # image of wrap(x) nearest to p
-        return fc.X(self._face_local(fc, self.wrap(x)), t), t
-
-    def _face_local(self, fc: FaceChart, x: np.ndarray) -> np.ndarray:
-        if self.grid.periodic:
-            return fc.p + min_image(np.asarray(x) - fc.p, self.grid.period)
-        return np.asarray(x, dtype=float)
+            return c.X(self.wrap(x)), np.inf
+        i, q, t = self.face_at(x)
+        return self.faces[i].X(q, t), t
 
     def residue_loop_integral(self, face: int, rho: float) -> float:
         """Quadrature of the loop integral of lambda on {R~ = rho} around p."""
@@ -592,7 +581,7 @@ class LiouvilleForm2D:
                     break
                 continue
             try:
-                i, _, t = self.face_at(x, band=1e-7)
+                i, q, t = self.face_at(x, band=1e-7)
             except DomainError:
                 return Trajectory(pts, "undecided", note="left the domain")
             if t >= 1.0 - 1e-12:
@@ -601,8 +590,7 @@ class LiouvilleForm2D:
                 return Trajectory(pts, "skeleton", face=i)
             # x lies on the leaf p + t u of its face; p itself on leaf 0
             fc = self.faces[i]
-            u = ((self._face_local(fc, self.wrap(x)) - fc.p) / t if t > 0.0
-                 else fc.boundary_point(0.0) - fc.p)
+            u = (q - fc.p) / t if t > 0.0 else fc.boundary_point(0.0) - fc.p
             s, x, done = self._face_leg(fc, u, t, s, t_max, direction, pts)
             if done is not None:
                 return done
@@ -689,14 +677,13 @@ class LiouvilleForm2D:
         integrated system (theta-dot vanishes to machine precision on them),
         so skeleton points are not kicked off by reprojection noise, which the
         transverse instability would amplify by e^t. The field, the stop
-        event and the samples work in Python floats, with the rounding of
-        `chart_to_ambient`, `min_image` and `wrap` on arrays.
+        event and the samples work in Python floats, which round as the
+        same expressions on arrays.
         """
         budget = t_max - s
         rc = chart.ambient_radius()
-        N = self.grid.period if self.grid.periodic else None
-        c0, c1 = chart._xy
-        R0, th0, _ = chart.chart_coords(x, self.grid)
+        N = chart.period
+        R0, th0, _ = chart.chart_coords(x)
         state0 = np.array([R0, th0])
 
         def f(y):
@@ -705,11 +692,7 @@ class LiouvilleForm2D:
             return direction * vR, direction * vth
 
         def stop(y):
-            v0, v1 = chart.ambient_xy(*y.tolist())
-            v0, v1 = v0 - c0, v1 - c1
-            if N is not None:
-                v0 = (v0 + 0.5 * N) % N - 0.5 * N
-                v1 = (v1 + 0.5 * N) % N - 0.5 * N
+            v0, v1 = chart.offset(*chart.ambient_xy(*y.tolist()))
             return rc * (1.0 + 1e-7) - float(np.hypot(v0, v1))
 
         def ambient(y) -> tuple:
@@ -759,6 +742,7 @@ def _build_vertex_charts(grid: Grid, cert, singular: set) -> list:
             eps=float(R_max / 2.0),
             disc_R=float(np.pi * r_out * r_out) if boundary else 0.0,
             collar_scale=float(2.0 * np.pi * r_out) if boundary else 1.0,
+            period=grid.period if grid.periodic else None,
         )
         r_capped = _curvature_cap(grid, chart)
         if r_capped < chart.ambient_radius():
@@ -786,7 +770,7 @@ def _curvature_cap(grid: Grid, chart: "VertexChart") -> float:
             ends.append(a.points[::-1])
         for pts in ends:
             for q in pts[1:]:
-                R, th, _ = chart.chart_coords(np.asarray(q, dtype=float), grid)
+                R, th, _ = chart.chart_coords(np.asarray(q, dtype=float))
                 r = np.sqrt(max(R, 0.0) / np.pi)
                 if r > rc:
                     break

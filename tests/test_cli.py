@@ -84,6 +84,21 @@ def test_malformed_grid_file_is_exit_2(tmp_path):
     # options are not abbreviated: --seed goes before the subcommand
     ("liouville", "flow", "--grid", "radial:4", "--seeds", "8", "--seed", "7"),
     ("reeb", "chords", "--tm", "0.5", "--targ", "self"),
+    # sample counts below 1, times that are not finite and positive
+    ("liouville", "check", "--grid", "radial:3", "--samples", "0"),
+    ("check-all", "--grid", "radial:3", "--samples", "-1"),
+    ("polar4", "check", "--formA", "radial:3", "--formB", "radial:3",
+     "--samples", "0"),
+    ("reeb", "chords", "--tmax", "0"),
+    ("reeb", "chords", "--tmax", "nan"),
+    ("reeb", "chords", "--tmax", "-1"),
+    ("liouville", "flow", "--grid", "radial:3", "--tmax", "inf"),
+    ("polar4", "classify", "--formA", "radial:3", "--formB", "radial:3",
+     "--tmax", "-1"),
+    # torus knots need p, q >= 1
+    ("reeb", "chords", "--source", "torus:0,1"),
+    ("reeb", "chords", "--target", "torus:1,0"),
+    ("reeb", "torus", "--knot", "torus:0,1"),
 ])
 def test_malformed_spec_is_exit_2(args):
     r = run_cli(*args)

@@ -8,6 +8,7 @@ stop at the chart boundary, and batched numeric Reeb flows.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -124,10 +125,10 @@ def test_chart_legs_equal_the_stage_loop(radial4_form, pinwheel_form,
             st.integers(0, chart.m_branches - 1))])
     else:
         th = data.draw(st.floats(0.0, 1.0, exclude_max=True))
-    x = form.wrap(chart.chart_to_ambient(R, th, form.grid))
+    x = form.wrap(np.array(chart.ambient_xy(R, th)))
     # a collar chart's coordinate disc reaches past its ambient ball, the
     # chart's domain; from a point outside it the flow runs no chart leg
-    assume(chart.contains(x, form.grid))
+    assume(chart.contains(x))
     direction = data.draw(st.sampled_from([1, -1]))
     t_max = data.draw(st.floats(0.5, 20.0))
 
@@ -160,7 +161,7 @@ def test_chart_legs_cover_stop_events(radial4_form, monkeypatch):
     monkeypatch.setattr(liouville2d, "rk45", spy)
     chart = radial4_form.charts[0]
     for th in (0.05, 0.3, 0.61, 0.9):
-        x = chart.chart_to_ambient(0.5 * chart.R_max, th, radial4_form.grid)
+        x = np.array(chart.ambient_xy(0.5 * chart.R_max, th))
         radial4_form.flow(x, 10.0, 1)
     assert stopped and all(stopped)
 
@@ -182,3 +183,15 @@ def test_reeb_batches_equal_the_stage_loop(n, c, seed, spread):
     _assert_same_run(_run(rk45, f, z, 1.0, **kw),
                      _run(_rk45_reference, f, z, 1.0, **kw))
     assert _bits(S.flow_numeric(z, tt[:, 0])) == _bits(_run(rk45, f, z, 1.0, **kw)[1])
+
+
+@pytest.mark.parametrize("rows", [2, 3])
+def test_batched_stop_event_is_located_on_the_batch(rows):
+    # a constant field on an (N, 2) batch: y[0, 1] = 10 + 2 s meets the
+    # stop level 11 at s = 1/2, where each row has moved by half its field
+    v = np.arange(1.0, 2 * rows + 1).reshape(rows, 2)
+    x0 = 10.0 * np.arange(2 * rows).reshape(rows, 2)
+    s, x, stopped = rk45(lambda y: v, x0, 2.0, stop=lambda y: 11.0 - y[0, 1])
+    assert stopped
+    assert abs(s - 0.5) < 1e-12
+    assert np.allclose(x, x0 + 0.5 * v, rtol=0.0, atol=1e-12)

@@ -19,6 +19,7 @@ from liouville_lab.integrate import rk45
 from liouville_lab.liouville2d import (DomainError, FaceChart, FoliationError,
                                        _build_face_chart, _piece_coeffs,
                                        _poskey, build_form, split_weights)
+from liouville_lab.polar4d import ProductPolarization
 
 
 # -- foliation structure ------------------------------------------------------
@@ -221,7 +222,7 @@ def _lambda_reference(f, x) -> np.ndarray:
     c = f.chart_at(x)
     if c is not None:
         xw = f.wrap(x)
-        R, th, s = c.chart_coords(xw, f.grid)
+        R, th, s = c.chart_coords(xw)
         r2 = float(s @ s)
         if r2 == 0.0:
             return np.zeros(2)
@@ -237,32 +238,33 @@ def _lambda_reference(f, x) -> np.ndarray:
     if t < 1e-7:
         raise DomainError("lambda is singular at a marked point")
     fc = f.faces[i]
-    xl = f._face_local(fc, x)
+    xl = fc.p + min_image(x - fc.p, f.grid.period) if f.grid.periodic else x
     _, t = fc.polar(xl)
     return ((t * t - 1.0) / (2.0 * t * t)) * perp(xl - fc.p)
 
 
 def _face_at_reference(f, x, band):
-    """face_at as the loop that labelled (theta, t) on every face."""
-    def labels(fc, x):
+    """face_at as the loop that labelled every face: (face, the labelled
+    point as bytes, t)."""
+    def label(fc, x):
         v = x - fc.p
         r = float(np.hypot(v[0], v[1]))
         if r == 0.0:
-            return 0.0, 0.0
-        ph = np.arctan2(v[1], v[0])
-        return fc.theta_of_phi(ph), r / fc.r_of_phi(ph)
+            return 0.0
+        return r / fc.r_of_phi(np.arctan2(v[1], v[0]))
 
     if f.grid.periodic:
         N = f.grid.period
         xw = np.mod(x, N)
         i, j = int(min(xw[0], N - 1e-12)), int(min(xw[1], N - 1e-12))
         fc = f.faces[j * int(N) + i]
-        return (fc.face, *labels(fc, fc.p + min_image(xw - fc.p, N)))
+        q = fc.p + min_image(xw - fc.p, N)
+        return fc.face, q.tobytes(), label(fc, q)
     best = None
     for fc in f.faces:
-        th, t = labels(fc, x)
+        t = label(fc, x)
         if t <= 1.0 + band and (best is None or t < best[2]):
-            best = (fc.face, th, t)
+            best = (fc.face, x.tobytes(), t)
     if best is None:
         raise DomainError("point lies outside the disc")
     return best
@@ -284,7 +286,43 @@ def test_face_at_labels_the_winner_as_the_all_faces_loop(
         x = np.array([data.draw(st.floats(-b, b)) for _ in range(2)])
     got = _lambda_or_error(lambda y: f.face_at(y, band), x)
     ref = _lambda_or_error(lambda y: _face_at_reference(f, y, band), x)
+    if got is not None:
+        i, q, t = got
+        got = i, q.tobytes(), t
+        # off a periodic grid the labelled point is x itself
+        assert f.grid.periodic or q is x
     assert got == ref
+
+
+def test_no_location_path_computes_theta(radial4_form, pinwheel_form,
+                                        periodic_form, monkeypatch):
+    # theta labels leaves for the test references; locating, evaluating,
+    # sampling, flowing and classifying need only the face, q and t
+    def theta_of_phi(self, ph):
+        raise AssertionError("a location path computed theta")
+
+    monkeypatch.setattr(FaceChart, "theta_of_phi", theta_of_phi)
+    forms = (radial4_form, pinwheel_form, periodic_form)
+    samples = []
+    for f in forms:
+        pts = sample_off_singular(f, 6, np.random.default_rng(3),
+                                  chart_margin=0.0, gamma_margin=0.0)
+        pts = [*pts, f.faces[0].p, *(np.array(c.ambient_xy(0.5 * c.R_max, 0.1))
+                                     for c in f.charts[:2])]
+        for x in pts:
+            f.face_at(x)
+            f.eval_X(x)
+            try:
+                f.eval_lambda(x)
+            except DomainError:       # at a marked point
+                pass
+            for direction in (1, -1):
+                f.flow(x, 20.0, direction)
+        samples.append(pts)
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        pp = ProductPolarization(forms[a], forms[b])
+        for xa, xb in zip(samples[a][:4], samples[b][:4]):
+            pp.classify4(np.concatenate([xa, xb]))
 
 
 def _lambda_or_error(fn, x):
@@ -360,7 +398,7 @@ def test_smoothed_vertex_chart_formula(radial4_form):
     chart = [c for c in f.charts if not c.boundary][0]
     x = chart.center + np.array([0.3, 0.2]) * chart.ambient_radius()
     lam = f.eval_lambda(x)
-    R, th, _ = chart.chart_coords(x, f.grid)
+    R, th, _ = chart.chart_coords(x)
     m = chart.mult
     a_th = R - chart.chi(R) * np.cos(2 * np.pi * m * th)
     a_R = -chart.chi_prime(R) / (2 * np.pi * m) * np.sin(2 * np.pi * m * th)
@@ -502,7 +540,9 @@ def _theta_leaf_flow(f, start, t_max, direction):
 
     def face_at(x, band=1e-9):
         out = form.face_at(f, x, band)
-        thetas.append(out[1])
+        fc = f.faces[out[0]]
+        ph = fc.polar(out[1])[0]
+        thetas.append(0.0 if ph is None else fc.theta_of_phi(ph))
         return out
 
     def face_leg(fc, u, t, *rest):
@@ -744,9 +784,9 @@ def test_chart_leg_floats_equal_the_array_expressions(
         legs.append((f, kw["stop"], trail))
         return rk45(f, x0, s_end, record=both, **kw)
 
-    x = form.wrap(chart.chart_to_ambient(
+    x = form.wrap(np.array(chart.ambient_xy(
         chart.R_max * data.draw(st.floats(0.02, 0.95)),
-        data.draw(st.floats(0.0, 1.0, exclude_max=True)), form.grid))
+        data.draw(st.floats(0.0, 1.0, exclude_max=True)))))
     s0 = data.draw(st.floats(0.0, 5.0))
     t_max = s0 + data.draw(st.floats(0.5, 20.0))
     pts = []
@@ -770,7 +810,7 @@ def test_chart_leg_floats_equal_the_array_expressions(
             field_ref(y).tobytes()
         assert np.float64(stop(y)).tobytes() == \
             np.float64(stop_ref(y)).tobytes()
-        assert chart.chart_to_ambient(R, th, form.grid).tobytes() == \
+        assert np.array(chart.ambient_xy(R, th)).tobytes() == \
             to_ambient(R, th).tobytes()
     # the leg's samples: its last 40 states, mapped back and wrapped
     ref = [(s0 + s, *map(float, form.wrap(to_ambient(y[0], y[1]))))
