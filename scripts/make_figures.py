@@ -3,58 +3,39 @@
 
 Grids with shaded faces, a foliation with separatrices, forward trajectories,
 the K-cell band allocation, and the Hopf shadows of the barrier complement.
+Each figure is the output of `liouville-lab --seed 7 plot --scene SCENE`.
 """
 
 import pathlib
 import sys
 
-import numpy as np
-
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from liouville_lab import checks, divisor_arith, liouville2d, reeb3, svgplot
-from liouville_lab.grid2d import (make_periodic_grid, make_pinwheel_grid,
-                                  make_radial_grid)
+from liouville_lab import cli
 
 OUT = pathlib.Path(__file__).resolve().parents[1] / "figures"
+SCENES = {
+    "grid_radial4": "grid:radial:4",
+    "grid_pinwheel3": "grid:pinwheel:3:0.35,-0.25,0.1",
+    "grid_periodic2": "grid:periodic:2",
+    "foliation_radial3": "foliation:radial:3",
+    "trajectories_radial3": "trajectories:radial:3",
+    "bands_K4": "bands:2,1",
+    "hopf_k3": "hopf:3",
+}
 
 
-def main():
+def main() -> int:
     OUT.mkdir(exist_ok=True)
-
-    for name, grid in [
-        ("grid_radial4", make_radial_grid(4, 1.0)),
-        ("grid_pinwheel3", make_pinwheel_grid(3, 1.0, [0.35, -0.25, 0.1])),
-        ("grid_periodic2", make_periodic_grid(2)),
-    ]:
-        (OUT / f"{name}.svg").write_text(svgplot.draw_grid(grid).render())
+    for name, scene in SCENES.items():
+        path = OUT / f"{name}.svg"
+        code = cli.main(["--seed", "7", "plot", "--scene", scene,
+                         "--out", str(path)])
+        if code:
+            return code
         print("wrote", name)
-
-    form = liouville2d.build_form(make_radial_grid(3, 1.0))
-    (OUT / "foliation_radial3.svg").write_text(
-        svgplot.draw_foliation(form).render())
-    print("wrote foliation_radial3")
-
-    rng = np.random.default_rng(7)
-    pts = checks.sample_off_singular(form, 24, rng, chart_margin=0.0,
-                                    gamma_margin=0.0)
-    trs = [form.flow(x, 20.0) for x in pts]
-    (OUT / "trajectories_radial3.svg").write_text(
-        svgplot.draw_trajectories(form, trs).render())
-    print("wrote trajectories_radial3")
-
-    K, cert = divisor_arith.monotone_K(2, 1, 1.0, 1.0)
-    (OUT / "bands_K4.svg").write_text(
-        svgplot.draw_band_diagram(2, 1, K, cert.assignment, 1.0, 1.0).render())
-    print("wrote bands_K4 (K =", K, ")")
-
-    S = reeb3.StarshapedHypersurface("sphere")
-    k = 3
-    paths = [reeb3._lune_boundary(S, k, j) for j in range(k)]
-    areas = [abs(reeb3.spherical_polygon_area(p)) for p in paths]
-    (OUT / "hopf_k3.svg").write_text(svgplot.draw_hopf(k, paths, areas).render())
-    print("wrote hopf_k3")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import shoelace_area
+from .geom import TWO_PI, min_image, shoelace_area
 from .liouville2d import GRID_BAND_GEOM, DomainError, LiouvilleForm2D
 from .polar4d import ProductPolarization
 
@@ -75,14 +75,13 @@ def sample_off_singular(form: LiouvilleForm2D, n: int, rng,
                 continue
         if form.grid.grid_distance(x) < gamma_margin:
             continue
+        # stay off the separatrix rays (the boundary model is C0 there)
         fc = form.faces[i]
-        if fc.vertex_phis is not None and len(fc.vertex_phis):
-            # stay off the separatrix rays (the boundary model is C0 there)
-            v = q - fc.p
-            phx = np.arctan2(v[1], v[0])
-            dphi = np.abs(np.mod(phx - fc.vertex_phis + np.pi, 2 * np.pi) - np.pi)
-            if np.min(dphi) * np.hypot(v[0], v[1]) < 40.0 * FD_STEP:
-                continue
+        v = q - fc.p
+        phx = np.arctan2(v[1], v[0])
+        dphi = np.abs(min_image(phx - fc.vertex_phis, TWO_PI))
+        if np.min(dphi) * np.hypot(v[0], v[1]) < 40.0 * FD_STEP:
+            continue
         out.append(x)
     if len(out) < n:
         raise RuntimeError("off-singular sampler starved")

@@ -158,7 +158,6 @@ def cmd_grid(args) -> int:
         cert = grid2d.validate_regular(g)
         print("regular" if cert.ok else f"irregular at vertex {cert.offender}")
         return 0 if cert.ok else 1
-    raise SystemExit(f"unknown grid action {args.action}")
 
 
 def cmd_liouville(args) -> int:
@@ -190,7 +189,6 @@ def cmd_liouville(args) -> int:
     if args.action == "check":
         return report_results(checks.run_battery(
             form, n_closed=args.samples, n_basin=args.samples, seed=args.seed))
-    raise SystemExit(f"unknown liouville action {args.action}")
 
 
 def _form_grid(form_path: str | None) -> grid2d.Grid:
@@ -229,7 +227,6 @@ def cmd_polar4(args) -> int:
             checks.check_boundary_tangency(pp),
         ]
         return report_results(results)
-    raise SystemExit(f"unknown polar4 action {args.action}")
 
 
 def cmd_sdb(args) -> int:
@@ -257,12 +254,10 @@ def cmd_feasible(args) -> int:
         K, cert = da.monotone_K(args.m, args.n, args.a, args.b)
         print(f"K = {K} (certificate verified: {cert.verify()})")
         return 0
-    elif args.problem == "morphism":
+    else:  # morphism
         src = _load_divisor(args.source)
         tgt = _load_divisor(args.target)
         rep = da.check_morphism(src, tgt)
-    else:
-        raise SystemExit(f"unknown feasibility problem {args.problem}")
     print(rep.table())
     return 0 if rep.feasible else 1
 
@@ -314,7 +309,6 @@ def cmd_reeb(args) -> int:
         print(f"generator actions: ({tor.action_knot:.3e}, {tor.action_disc:.9f})")
         print(f"omega defect: {tor.omega_defect:.3e}; disc area {tor.disc_area:.9f}")
         return 0
-    raise SystemExit(f"unknown reeb action {args.action}")
 
 
 def _load_knot(S, spec: str) -> reeb3.LegendrianCurve:
@@ -410,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--area", type=float, default=1.0)
     l.add_argument("--out", default="-")
     l.add_argument("--csv", default="-")
-    l.add_argument("--seeds", type=int, default=64)
+    l.add_argument("--seeds", type=positive(int), default=64)
     l.add_argument("--tmax", type=positive(float), default=20.0)
     l.add_argument("--samples", type=positive(int), default=400)
     l.set_defaults(func=cmd_liouville)
@@ -421,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p4.add_argument("--formA", help="grid spec for the first factor")
     p4.add_argument("--formB", help="grid spec for the second factor")
     p4.add_argument("--area", type=float, default=1.0)
-    p4.add_argument("--seeds", type=int, default=200)
+    p4.add_argument("--seeds", type=positive(int), default=200)
     p4.add_argument("--samples", type=positive(int), default=300)
     p4.add_argument("--tmax", type=positive(float), default=20.0)
     p4.add_argument("--csv", default="-")

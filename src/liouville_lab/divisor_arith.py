@@ -13,6 +13,8 @@ from math import ceil, gcd
 
 import numpy as np
 
+from .geom import TWO_PI, min_image
+
 
 class DivisorError(ValueError):
     pass
@@ -439,5 +441,5 @@ def verify_flux_identity(annulus_area: float, period: float, t: float,
 def _winding(loop: np.ndarray) -> float:
     ang = np.arctan2(loop[:, 1], loop[:, 0])
     d = np.diff(np.concatenate([ang, ang[:1]]))
-    d = np.mod(d + np.pi, 2 * np.pi) - np.pi
+    d = min_image(d, TWO_PI)
     return float(np.round(np.sum(d) / (2 * np.pi)))

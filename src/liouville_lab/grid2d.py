@@ -6,7 +6,8 @@ Arcs are stored as polylines; the boundary circle is represented by a polygon
 whose radius is corrected so that the face areas partition A exactly.
 
 Face cycles are stored as signed arc ids: id >= 0 traverses arc id forward,
--(id+1) traverses it reversed.
+-(id+1) traverses it reversed. A face's corners are the start vertices of
+its arcs in traversal order.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import (TWO_PI, SegmentIndex, polyline_segments, segments_distance,
-                   shoelace_area)
+from .geom import (TWO_PI, SegmentIndex, min_image, polyline_segments,
+                   segments_distance, shoelace_area)
 
 ARC_RESOLUTION = 256  # default samples per arc
 # sector-angle deviation accepted by the regularity check [rad]
@@ -97,7 +98,8 @@ class Grid:
     faces: list                       # list of cycles of signed arc ids
     marked_points: np.ndarray | None = None
     periodic: bool = False
-    _face_polys: list = field(default_factory=list, repr=False)
+    _face_polys: list = field(init=False, repr=False, compare=False)
+    _face_corners: list = field(init=False, repr=False, compare=False)
     _index: SegmentIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -110,7 +112,9 @@ class Grid:
                 a.seam = bool(np.all(np.abs(a.points[:, 0] - N) < 1e-9)
                               or np.all(np.abs(a.points[:, 1] - N) < 1e-9))
         self._compute_valences()
-        self._face_polys = [self._assemble_face(c) for c in self.faces]
+        assembled = [self._assemble_face(c) for c in self.faces]
+        self._face_polys = [poly for poly, _ in assembled]
+        self._face_corners = [corners for _, corners in assembled]
         self._index = SegmentIndex(polyline_segments([a.points for a in self.arcs]))
         if self.marked_points is None:
             self.marked_points = np.array(
@@ -131,20 +135,21 @@ class Grid:
             self.vertices[a.v0].valence += 1
             self.vertices[a.v1].valence += 1
 
-    def _assemble_face(self, cycle) -> np.ndarray:
-        pts = []
+    def _assemble_face(self, cycle) -> tuple:
+        """The polygon of a face cycle, without its repeated end point, and
+        its corners: (polygon index, vertex id) of each arc's start."""
+        pts, corners = [], []
         for sid in cycle:
-            seg = self.arcs[sid].points if sid >= 0 else self.arcs[-sid - 1].rev_points()
-            if pts:
-                if not np.allclose(pts[-1], seg[0], atol=1e-12):
-                    raise GridError("face cycle is not closed edge-to-edge")
-                pts.extend(seg[1:])
-            else:
-                pts.extend(seg)
+            a = self.arcs[sid if sid >= 0 else -sid - 1]
+            seg, v = (a.points, a.v0) if sid >= 0 else (a.rev_points(), a.v1)
+            if pts and not np.allclose(pts[-1], seg[0], atol=1e-12):
+                raise GridError("face cycle is not closed edge-to-edge")
+            corners.append((len(pts) - 1 if pts else 0, v))
+            pts.extend(seg[1:] if pts else seg)
         poly = np.asarray(pts)
         if not np.allclose(poly[0], poly[-1], atol=1e-12):
             raise GridError("face cycle does not close up")
-        return poly[:-1]
+        return poly[:-1], corners
 
     def _validate(self):
         for i, v in enumerate(self.vertices):
@@ -186,6 +191,11 @@ class Grid:
 
     def face_polygon(self, i: int) -> np.ndarray:
         return self._face_polys[i]
+
+    def face_corners(self, i: int) -> list:
+        """(polygon index, vertex id) of each corner of face i, in the order
+        of its polygon."""
+        return self._face_corners[i]
 
     def face_areas(self) -> np.ndarray:
         """Per-face enclosed area by polygonal quadrature (shoelace)."""
@@ -558,7 +568,7 @@ def _tangent_angle(points: np.ndarray) -> float:
     a_short = np.arctan2(short[1], short[0])
     a_med = np.arctan2(med[1], med[0])
     noise = 1e-14 * max(1.0, float(np.linalg.norm(p0))) / max(np.linalg.norm(short), 1e-300)
-    diff = np.mod(a_med - a_short + np.pi, TWO_PI) - np.pi
+    diff = min_image(a_med - a_short, TWO_PI)
     return float(a_med if abs(diff) <= max(4.0 * noise, 1e-13) else a_short)
 
 
@@ -609,7 +619,7 @@ def _boundary_sectors(g: Grid, vi: int, angles: list):
     """Sector angles at a boundary vertex in the straightened half-disc chart."""
     v = g.vertices[vi]
     tangent = np.arctan2(v.xy[1], v.xy[0]) + 0.5 * np.pi  # ccw boundary direction
-    rel = [np.mod(a - tangent + np.pi, TWO_PI) - np.pi for a in angles]
+    rel = [min_image(a - tangent, TWO_PI) for a in angles]
     interior = sorted(x for x in rel if 0.05 < x < np.pi - 0.05)
     pts = [0.0] + interior + [np.pi]
     return list(np.diff(pts)), float(tangent)

@@ -27,13 +27,13 @@ the seam.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .geom import (TWO_PI, min_image, perp, polyline_segments,
-                   segments_distance)
+                   segments_distance, shoelace_area)
 from .grid2d import Grid, validate_regular
 from .integrate import rk45
 
@@ -89,7 +89,7 @@ class FaceChart:
     s_coef: np.ndarray       # (n,8) degree-7 coefficients of the swept area, lowest first
     s_knots: np.ndarray      # cumulative swept area at knots (s[0]=0, s[-1]=area)
     vertex_thetas: list      # (vertex id, theta label of its separatrix)
-    vertex_phis: np.ndarray = None  # angles of all grid vertices on the boundary
+    vertex_phis: np.ndarray  # angles of all grid vertices on the boundary
     dr_coef: np.ndarray = field(init=False, repr=False)  # (n,3) dr/dphi, from r_coef
 
     def __post_init__(self):
@@ -180,8 +180,7 @@ class FaceChart:
         return np.diff(np.concatenate([th, [th[0] + 1.0]]))
 
 
-def _build_face_chart(grid: Grid, face: int, singular_ids: set,
-                      vertex_pos: dict) -> FaceChart:
+def _build_face_chart(grid: Grid, face: int, singular_ids: set) -> FaceChart:
     poly = grid.face_polygon(face)
     p = grid.marked_points[face]
     v = poly - p[None, :]
@@ -190,11 +189,11 @@ def _build_face_chart(grid: Grid, face: int, singular_ids: set,
         raise FoliationError(f"face {face}: marked point lies on the boundary")
     ph_raw = np.arctan2(v[:, 1], v[:, 0])
 
-    # the grid vertex at each polygon sample (by wrapped position), or None;
-    # index 0 becomes the first singular vertex when one exists
-    vids = [vertex_pos.get(_poskey(q, grid)) for q in poly]
-    start = next((i for i, w in enumerate(vids) if w in singular_ids), 0)
-    vids = vids[start:] + vids[:start]
+    # the corners (polygon index, vertex id) of the face cycle; index 0
+    # becomes the first singular corner when one exists
+    corners = grid.face_corners(face)
+    start = next((k for k, w in corners if w in singular_ids), 0)
+    corners = sorted(((k - start) % len(poly), w) for k, w in corners)
     ph_raw = np.roll(ph_raw, -start)
     r = np.roll(r, -start)
 
@@ -219,8 +218,7 @@ def _build_face_chart(grid: Grid, face: int, singular_ids: set,
     # boundary piece is interpolated without corner-induced ringing, and the
     # genuine corners sit exactly at the piece junctions (the vertex rays,
     # i.e. the separatrices of the foliation)
-    breaks = [0] + [i for i in range(1, len(vids)) if vids[i] is not None]
-    breaks.append(len(vids))
+    breaks = [k for k, _ in corners] + [len(poly)]
     r_coef = np.empty((len(h), 4))
     for b0, b1 in zip(breaks[:-1], breaks[1:]):
         r_coef[b0:b1] = _piece_coeffs(ph[b0:b1 + 1], rr[b0:b1 + 1])
@@ -236,8 +234,8 @@ def _build_face_chart(grid: Grid, face: int, singular_ids: set,
     s_knots = np.concatenate([[0.0], np.cumsum(s_h)])
     area = float(s_knots[-1])
 
-    vertex_thetas = [(w, float(s_knots[i] / area))
-                     for i, w in enumerate(vids) if w in singular_ids]
+    vertex_thetas = [(w, float(s_knots[k] / area))
+                     for k, w in corners if w in singular_ids]
     return FaceChart(face, p.copy(), area, ph, r_coef, s_coef, s_knots,
                      vertex_thetas, ph[breaks[:-1]])
 
@@ -263,18 +261,6 @@ def _piece_coeffs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _poskey(q, grid: Grid):
-    x, y = float(q[0]), float(q[1])
-    if grid.periodic:
-        N = grid.period
-        x, y = np.mod(x, N), np.mod(y, N)
-        if x > N - 1e-9:
-            x = 0.0
-        if y > N - 1e-9:
-            y = 0.0
-    return (round(x, 9), round(y, 9))
-
-
 # ---------------------------------------------------------------------------
 # vertex charts: the smoothing model
 # ---------------------------------------------------------------------------
@@ -286,21 +272,36 @@ class VertexChart:
     vid: int
     center: np.ndarray
     m_branches: int
-    mult: int                 # model multiplicity: m interior, 2(m-1) boundary
     boundary: bool
     rotation: float           # chart alignment [rad]
-    R_max: float              # chart domain {R < R_max}, R_max = 2 eps
-    eps: float
-    chi_knots: tuple = field(default=())
+    R_max: float              # chart domain {R < R_max}
     # boundary straightening
     disc_R: float = 0.0       # pi * r_out^2
     collar_scale: float = 1.0
     period: float | None = None  # the grid's period; None off a periodic grid
+    # model multiplicity: m interior; the half-disc at a boundary vertex is
+    # half of the doubled interior model, so 2(m-1) there
+    mult: int = field(init=False)
+    eps: float = field(init=False)    # R_max / 2
+    # lowest-first coefficients (y0, d0, c2, c3) of chi's cubic on
+    # [eps/2, eps] in R - eps/2; chi and chi_prime evaluate it and its
+    # derivative by Horner's rule in the operation order of `P.polyval`
+    bridge: tuple = field(init=False, repr=False)
     # the center as floats, and its polar angle
     _xy: tuple = field(init=False, repr=False, compare=False)
     _angle: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        m = self.m_branches
+        m = self.mult = 2 * (m - 1) if self.boundary else m
+        e = self.eps = self.R_max / 2.0
+        x0, x1 = 0.5 * e, e
+        y0 = x0 ** (0.5 * m)
+        d0 = 0.5 * m * x0 ** (0.5 * m - 1.0)
+        h = x1 - x0
+        self.bridge = (y0, d0,
+                       (3 * (x1 - y0) - h * (2 * d0 + 1.0)) / h**2,
+                       (2 * (y0 - x1) + h * (d0 + 1.0)) / h**3)
         self._xy = (float(self.center[0]), float(self.center[1]))
         self._angle = float(np.arctan2(self.center[1], self.center[0]))
 
@@ -312,7 +313,7 @@ class VertexChart:
             return R ** (0.5 * m)
         if R >= e:
             return R
-        y0, d0, c2, c3 = self._bridge()
+        y0, d0, c2, c3 = self.bridge
         x = R - 0.5 * e
         return float(y0 + (d0 + (c2 + c3 * x) * x) * x)
 
@@ -323,25 +324,9 @@ class VertexChart:
             return 0.5 * m * R ** (0.5 * m - 1.0) if R > 0 else 0.0
         if R >= e:
             return 1.0
-        _, d0, c2, c3 = self._bridge()
+        _, d0, c2, c3 = self.bridge
         x = R - 0.5 * e
         return float(d0 + (2 * c2 + 3 * c3 * x) * x)
-
-    def _bridge(self) -> tuple:
-        """Lowest-first coefficients (y0, d0, c2, c3) of the cubic on
-        [eps/2, eps] in R - eps/2, cached; chi and chi_prime evaluate it and
-        its derivative by Horner's rule in the operation order of
-        `P.polyval`."""
-        if not self.chi_knots:
-            e, m = self.eps, self.mult
-            x0, x1 = 0.5 * e, e
-            y0 = x0 ** (0.5 * m)
-            d0 = 0.5 * m * x0 ** (0.5 * m - 1.0)
-            h = x1 - x0
-            c3 = (2 * (y0 - x1) + h * (d0 + 1.0)) / h**3
-            c2 = (3 * (x1 - y0) - h * (2 * d0 + 1.0)) / h**2
-            object.__setattr__(self, "chi_knots", (y0, d0, c2, c3))
-        return self.chi_knots
 
     # -- chart coordinates ----------------------------------------------------
     def chart_coords(self, x: np.ndarray) -> tuple:
@@ -357,7 +342,7 @@ class VertexChart:
         c = self.collar_scale
         th_d = np.arctan2(x[1], x[0])
         th_q = np.arctan2(self.center[1], self.center[0])
-        dth = (np.mod(th_d - th_q + np.pi, TWO_PI) - np.pi) / TWO_PI
+        dth = min_image(th_d - th_q, TWO_PI) / TWO_PI
         R_d = np.pi * float(x @ x)
         xt = c * dth
         yt = (self.disc_R - R_d) / c
@@ -461,13 +446,11 @@ class LiouvilleForm2D:
 
         # non-smooth points of the grid: interior branch points and boundary
         # junctions (interior 2-valent regular vertices are smooth points)
-        vertex_pos = {_poskey(v.xy, grid): i for i, v in enumerate(grid.vertices)}
         singular = {i for i, v in enumerate(grid.vertices) if v.valence >= 3}
-        faces = [_build_face_chart(grid, i, singular, vertex_pos)
-                 for i in range(grid.n_faces)]
-        charts = _build_vertex_charts(grid, cert, singular)
-        self.faces = faces
-        self.charts = charts
+        self.faces = [_build_face_chart(grid, i, singular)
+                      for i in range(grid.n_faces)]
+        self.charts = charts = _build_vertex_charts(grid, cert, singular)
+        self._cells = _unit_cells(grid, self.faces) if grid.periodic else None
         self._chart_centers = np.array([c.center for c in charts]).reshape(-1, 2)
         self._chart_radii = np.array([np.sqrt(c.R_max / np.pi) for c in charts])
 
@@ -500,7 +483,7 @@ class LiouvilleForm2D:
             N = self.grid.period
             xw = np.mod(x, N)
             i, j = int(min(xw[0], N - 1e-12)), int(min(xw[1], N - 1e-12))
-            fc = self.faces[j * int(N) + i]
+            fc = self._cells[j][i]
             q = fc.p + min_image(xw - fc.p, N)
             return fc.face, q, fc.polar(q)[1]
         # the first face of least label t holds x, unless t > 1 + band or nan
@@ -551,12 +534,9 @@ class LiouvilleForm2D:
             return 1.0
         d = np.linalg.norm(self._chart_vec(fc.p), axis=1)
         clear = float(np.min(d - 1.02 * self._chart_radii))
-        return max(0.0, min(1.0, clear / self._max_rb(fc)))
-
-    def _max_rb(self, fc: FaceChart) -> float:
-        # largest knot value of r; the not-a-knot pieces stay below it
-        # between knots on the radial, pinwheel and periodic grids
-        return float(np.max(fc.r_coef[:, 0]))
+        # over the largest knot value of r; the not-a-knot pieces stay below
+        # it between knots on the radial, pinwheel and periodic grids
+        return max(0.0, min(1.0, clear / float(np.max(fc.r_coef[:, 0]))))
 
     def _chart_vec(self, x: np.ndarray) -> np.ndarray:
         v = self._chart_centers - np.asarray(x)[None, :]
@@ -717,38 +697,53 @@ class LiouvilleForm2D:
         return s_new, x_new, stopped
 
 
+def _unit_cells(grid: Grid, faces: list) -> list:
+    """The face chart of each unit cell [i, i+1] x [j, j+1] of a periodic
+    grid, as rows cells[j][i]. Raises FoliationError unless the faces are
+    the N^2 unit lattice cells."""
+    N = round(grid.period)
+    if N != grid.period or len(faces) != N * N:
+        raise FoliationError(
+            "a periodic grid needs its unit lattice cells as faces; this one "
+            f"has period {grid.period:g} and {len(faces)} faces")
+    cells = [[None] * N for _ in range(N)]
+    for fc in faces:
+        poly = grid.face_polygon(fc.face)
+        lo, hi = poly.min(axis=0), poly.max(axis=0)
+        i, j = np.rint(lo).astype(int).tolist()
+        if not (0 <= i < N and 0 <= j < N and cells[j][i] is None
+                and np.all(np.abs(lo - (i, j)) <= 1e-9)
+                and np.all(np.abs(hi - (i + 1, j + 1)) <= 1e-9)
+                and abs(shoelace_area(poly) - 1.0) <= 1e-9):
+            raise FoliationError(f"face {fc.face} is not a unit lattice cell")
+        cells[j][i] = fc
+    return cells
+
+
 def _build_vertex_charts(grid: Grid, cert, singular: set) -> list:
     charts = []
     entries = {e.vertex: e for e in cert.entries}
     r_out = None if grid.periodic else grid.boundary_radius()
-    marked = grid.marked_points
     for vi in sorted(singular):
         v = grid.vertices[vi]
         boundary = bool(v.boundary and not grid.periodic)
-        m = v.valence
-        # the half-disc at a boundary vertex is half of the doubled interior
-        # model, so the model multiplicity doubles there
-        mult = m if not boundary else 2 * (m - 1)
-        if mult < 3:
-            continue
-        reach = _chart_reach(grid, vi, marked)
+        reach = _chart_reach(grid, vi)
         if reach <= 0:
             continue
-        R_max = np.pi * reach * reach
         rotation = entries[vi].rotation if vi in entries else 0.0
         chart = VertexChart(
-            vid=vi, center=v.xy.copy(), m_branches=m, mult=mult,
-            boundary=boundary, rotation=rotation, R_max=float(R_max),
-            eps=float(R_max / 2.0),
+            vid=vi, center=v.xy.copy(), m_branches=v.valence,
+            boundary=boundary, rotation=rotation,
+            R_max=float(np.pi * reach * reach),
             disc_R=float(np.pi * r_out * r_out) if boundary else 0.0,
             collar_scale=float(2.0 * np.pi * r_out) if boundary else 1.0,
             period=grid.period if grid.periodic else None,
         )
+        # the cap is measured in the chart's coordinates, which do not
+        # depend on its radius
         r_capped = _curvature_cap(grid, chart)
         if r_capped < chart.ambient_radius():
-            chart.R_max = float(np.pi * r_capped * r_capped)
-            chart.eps = chart.R_max / 2.0
-            chart.chi_knots = ()
+            chart = replace(chart, R_max=float(np.pi * r_capped * r_capped))
         charts.append(chart)
     return charts
 
@@ -784,7 +779,7 @@ def _curvature_cap(grid: Grid, chart: "VertexChart") -> float:
     return rc
 
 
-def _chart_reach(grid: Grid, vi: int, marked) -> float:
+def _chart_reach(grid: Grid, vi: int) -> float:
     v = grid.vertices[vi]
 
     def dist(a, b):
@@ -808,7 +803,7 @@ def _chart_reach(grid: Grid, vi: int, marked) -> float:
             other_arc = min(other_arc, dmin)
     vert = min((dist(w.xy, v.xy) for j, w in enumerate(grid.vertices) if j != vi
                 and dist(w.xy, v.xy) > 1e-12), default=np.inf)
-    mark = min((dist(mp, v.xy) for mp in marked), default=np.inf)
+    mark = min((dist(mp, v.xy) for mp in grid.marked_points), default=np.inf)
     return min(arc_reach / 4.0, vert / 3.0, mark / 2.0, other_arc / 2.0)
 
 

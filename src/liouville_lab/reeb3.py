@@ -21,10 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geom import polyline_segments, segments_distance
+from .geom import TWO_PI, min_image, polyline_segments, segments_distance
 from .integrate import rk45
 
-TWO_PI = 2.0 * np.pi
 # ambient distance at which a Reeb chord is accepted
 CHORD_TOL = 1e-5
 # shortest admissible chord time (filters t -> 0 junk)
@@ -342,7 +341,7 @@ def legendrian_lift(S: StarshapedHypersurface, base_point=(0.9, 0.85),
     psi = np.concatenate([[0.0],
                           np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * ds)])
     closure = psi[-1] + 0.5 * (integrand[-1] + integrand[0]) * ds
-    closure = np.mod(closure + np.pi, TWO_PI) - np.pi
+    closure = min_image(closure, TWO_PI)
     if abs(closure) > 1e-6:
         raise ValueError(f"lift does not close up (holonomy gap {closure:.2e})")
     slope = -closure / TWO_PI

@@ -99,11 +99,24 @@ def test_malformed_grid_file_is_exit_2(tmp_path):
     ("reeb", "chords", "--source", "torus:0,1"),
     ("reeb", "chords", "--target", "torus:1,0"),
     ("reeb", "torus", "--knot", "torus:0,1"),
+    # seed counts below 1
+    ("liouville", "flow", "--grid", "radial:3", "--seeds", "0"),
+    ("polar4", "classify", "--formA", "radial:3", "--formB", "radial:3",
+     "--seeds", "-2"),
 ])
 def test_malformed_spec_is_exit_2(args):
     r = run_cli(*args)
     assert r.returncode == 2, r.stderr
     assert "error" in r.stderr.lower()
+    assert "Traceback" not in r.stderr
+
+
+def test_periodic_grid_of_strips_is_exit_2(tmp_path, two_strip_grid_json):
+    path = tmp_path / "strips.json"
+    path.write_text(two_strip_grid_json)
+    r = run_cli("liouville", "flow", "--grid", str(path), "--seeds", "4")
+    assert r.returncode == 2, r.stderr
+    assert "unit lattice cells as faces" in r.stderr
     assert "Traceback" not in r.stderr
 
 

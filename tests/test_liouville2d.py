@@ -1,5 +1,6 @@
 """Face charts, evaluators, residues, flows, splitting."""
 
+import json
 import math
 
 import numpy as np
@@ -13,12 +14,12 @@ from liouville_lab.checks import (check_backward_complete, check_basin,
                                   check_gamma_invariance, gamma_samples,
                                   sample_off_singular)
 from liouville_lab.geom import TWO_PI, min_image, perp, shoelace_area
-from liouville_lab.grid2d import (make_pinwheel_grid, make_radial_grid,
+from liouville_lab.grid2d import (Grid, make_pinwheel_grid, make_radial_grid,
                                   make_sector_grid)
 from liouville_lab.integrate import rk45
 from liouville_lab.liouville2d import (DomainError, FaceChart, FoliationError,
                                        _build_face_chart, _piece_coeffs,
-                                       _poskey, build_form, split_weights)
+                                       build_form, split_weights)
 from liouville_lab.polar4d import ProductPolarization
 
 
@@ -70,9 +71,24 @@ def test_sector_half_sweep(radial4_form):
     assert area == pytest.approx(0.5 * fc.area, rel=1e-5)
 
 
+def _poskey(q, grid):
+    """A position key of q: its coordinates, wrapped on a periodic grid,
+    rounded to 9 decimals."""
+    x, y = float(q[0]), float(q[1])
+    if grid.periodic:
+        N = grid.period
+        x, y = np.mod(x, N), np.mod(y, N)
+        if x > N - 1e-9:
+            x = 0.0
+        if y > N - 1e-9:
+            y = 0.0
+    return (round(x, 9), round(y, 9))
+
+
 def _face_chart_reference(grid, face, singular_ids, vertex_pos) -> tuple:
     """The per-interval face-chart builder that the one-pass
-    `_build_face_chart` replaced: (p, area, phi, r_coef, s_coef as a list of
+    `_build_face_chart` replaced, which finds the grid vertices on the face
+    polygon by position key: (p, area, phi, r_coef, s_coef as a list of
     trimmed rows, s_knots, vertex_thetas, vertex_phis)."""
     poly = grid.face_polygon(face)
     p = grid.marked_points[face]
@@ -132,7 +148,7 @@ def test_face_charts_equal_the_per_interval_builder(radial3_form, radial4_form,
         vertex_pos = {_poskey(v.xy, g): i for i, v in enumerate(g.vertices)}
         singular = {i for i, v in enumerate(g.vertices) if v.valence >= 3}
         for i in range(g.n_faces):
-            fc = _build_face_chart(g, i, singular, vertex_pos)
+            fc = _build_face_chart(g, i, singular)
             p, area, ph, r_coef, s_rows, s_knots, vth, vph = \
                 _face_chart_reference(g, i, singular, vertex_pos)
             assert isinstance(fc.s_coef, np.ndarray)
@@ -144,6 +160,30 @@ def test_face_charts_equal_the_per_interval_builder(radial3_form, radial4_form,
                          (fc.s_knots, s_knots), (fc.vertex_phis, vph)):
                 assert a.tobytes() == b.tobytes()
             assert (fc.area, fc.vertex_thetas) == (area, vth)
+
+
+def test_periodic_face_order_is_read_from_the_faces(periodic_form):
+    # the same grid saved with its faces and marked points in reverse order
+    doc = json.loads(periodic_form.grid.to_json())
+    doc["faces"].reverse()
+    doc["marked_points"].reverse()
+    f0, f1 = periodic_form, build_form(Grid.from_json(json.dumps(doc)))
+    rng = np.random.default_rng(23)
+    for x in rng.uniform(0.0, 2.0, size=(60, 2)):
+        i0, q0, t0 = f0.face_at(x)
+        i1, q1, t1 = f1.face_at(x)
+        assert f1.faces[i1].p.tobytes() == f0.faces[i0].p.tobytes()
+        assert (q1.tobytes(), t1) == (q0.tobytes(), t0)
+        tr0, tr1 = f0.flow(x, 20.0), f1.flow(x, 20.0)
+        assert (tr1.classification, tr1.points) == (tr0.classification, tr0.points)
+        if tr0.face is not None:
+            assert f1.faces[tr1.face].p.tobytes() == f0.faces[tr0.face].p.tobytes()
+
+
+def test_periodic_grid_of_strips_is_rejected(two_strip_grid_json):
+    # a valid grid, but face_at reads a periodic grid's unit cells
+    with pytest.raises(FoliationError, match="unit lattice cells as faces"):
+        build_form(Grid.from_json(two_strip_grid_json))
 
 
 def test_non_star_shaped_face_rejected():
@@ -467,7 +507,7 @@ def test_chi_horner_equals_polyval(radial4_form, pinwheel_form, periodic_form, d
     chart = charts[data.draw(st.integers(0, len(charts) - 1))]
     e, m = chart.eps, chart.mult
     R = data.draw(st.floats(0.0, 2.0 * e))
-    c = np.asarray(chart._bridge())
+    c = np.asarray(chart.bridge)
     if R <= 0.5 * e:
         ref = (R ** (0.5 * m), 0.5 * m * R ** (0.5 * m - 1.0) if R > 0 else 0.0)
     elif R >= e:
