@@ -25,9 +25,6 @@ ARC_RESOLUTION = 256  # default samples per arc
 REGULAR_SECTOR = 1e-3
 # relative distance from the boundary circle within which a vertex lies on it
 BOUNDARY_REL = 1e-7
-# offsets, in periods, of the nine periodic images of a wrapped point
-_PERIODIC_IMAGES = np.array([[dx, dy] for dx in (-1.0, 0.0, 1.0)
-                              for dy in (-1.0, 0.0, 1.0)])
 
 
 class GridError(ValueError):
@@ -115,7 +112,8 @@ class Grid:
         assembled = [self._assemble_face(c) for c in self.faces]
         self._face_polys = [poly for poly, _ in assembled]
         self._face_corners = [corners for _, corners in assembled]
-        self._index = SegmentIndex(polyline_segments([a.points for a in self.arcs]))
+        self._index = SegmentIndex(
+            polyline_segments([a.points for a in self.arcs]), self.period)
         if self.marked_points is None:
             self.marked_points = np.array(
                 [interior_point(p) for p in self._face_polys])
@@ -201,19 +199,13 @@ class Grid:
         """Per-face enclosed area by polygonal quadrature (shoelace)."""
         return np.array([shoelace_area(p) for p in self._face_polys])
 
-    def max_face_area(self) -> float:
-        return float(np.max(self.face_areas()))
-
     def boundary_radius(self) -> float:
         return _max_radius(self.arcs)
 
     def grid_distance(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if self.periodic:
-            # the nine periodic images of the wrapped point
-            N = self.period
-            x = np.mod(x, N) + N * _PERIODIC_IMAGES
-        return self._index.distance(x)
+        """Exact distance from the planar point x to the arcs (on a periodic
+        grid, from the nearest of the nine images of the wrapped point)."""
+        return self._index.point_distance(x)
 
     # -- io ------------------------------------------------------------------
     def to_json(self) -> str:

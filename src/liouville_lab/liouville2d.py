@@ -424,6 +424,13 @@ class VertexChart:
 
 @dataclass
 class Trajectory:
+    """A sampled flow line and how it ended. `face` is the face a
+    "converged" trajectory flowed into. For a "skeleton" trajectory it is
+    only `face_at`'s tie-break at the last point located, a point on or next
+    to the grid that several faces border: the first face of least leaf
+    label on a disc grid, the unit cell of the wrapped point on a periodic
+    one. It is None when `face_at` raised there, i.e. the point lay outside
+    the disc within GRID_BAND_GEOM of the grid."""
     points: list                 # (s, x, y) samples
     classification: str          # "converged" | "skeleton" | "undecided"
     face: int | None = None

@@ -1,5 +1,6 @@
 """Grid construction, areas, regularity, distance, and file round-trips."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from liouville_lab.grid2d import (Grid, GridError, make_periodic_grid,
                                   make_pinwheel_grid, make_radial_grid,
                                   make_sector_grid, point_in_polygon,
                                   validate_regular)
+from liouville_lab.liouville2d import build_form
 
 
 def shoelace_fraction(poly):
@@ -82,12 +84,12 @@ def test_perturbed_diameter_areas():
     assert abs(areas[1] - 0.4) < 1e-12
     oracle = [float(shoelace_fraction(g.face_polygon(i))) for i in range(2)]
     assert np.allclose(areas, oracle, atol=1e-12)
-    assert g.max_face_area() == pytest.approx(0.6, abs=1e-12)
+    assert max(g.face_areas()) == pytest.approx(0.6, abs=1e-12)
 
 
 def test_max_face_area():
-    assert make_radial_grid(4, 1.0).max_face_area() == pytest.approx(0.25, abs=1e-12)
-    assert make_periodic_grid(2).max_face_area() == pytest.approx(1.0, abs=1e-12)
+    assert max(make_radial_grid(4, 1.0).face_areas()) == pytest.approx(0.25, abs=1e-12)
+    assert max(make_periodic_grid(2).face_areas()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_radial_regularity_certificate_is_exact():
@@ -256,11 +258,55 @@ def _grid_and_point(draw):
 @example(("pinwheel", np.array([0.0, -1.5])))
 @example(("periodic:2", np.array([0.5, 0.5])))
 @example(("periodic:2", np.array([-2.7, 9.3])))
+# the edges of the cell table: -1e-17 mod 2 rounds to exactly 2.0, so the
+# wrapped point lies on the far edge x = N; corners of the fundamental
+# domain; cell corners, one on a radial:4 spoke; and a second query in the
+# cell of (0.5, 0.5), whichever of the two runs first
+@example(("periodic:2", np.array([-1e-17, 0.3])))
+@example(("periodic:2", np.array([2.0, 2.0])))
+@example(("periodic:2", np.array([0.0, 1.0])))
+@example(("radial:4", np.array([30 * geom.CELL, 0.0])))
+@example(("pinwheel", np.array([-20 * geom.CELL, 10 * geom.CELL])))
+@example(("periodic:2", np.array([0.501, 0.502])))
 def test_grid_distance_equals_brute_force(grid_and_point):
     name, x = grid_and_point
     g = DISTANCE_GRIDS[name]
     d, ref = g.grid_distance(x), _brute_grid_distance(g, x)
     assert np.float64(d).tobytes() == np.float64(ref).tobytes(), (name, x, d, ref)
+
+
+def test_building_a_form_fills_no_distance_cell():
+    # the cell table costs nothing at construction: cells are filled by
+    # queries, one per new cell
+    for g in (make_radial_grid(4, 1.0), make_pinwheel_grid(3, 1.0, [0.35, -0.25, 0.1]),
+              make_periodic_grid(2)):
+        build_form(g)
+        assert not g._index.cells
+        g.grid_distance(np.array([0.3, 0.2]))
+        assert len(g._index.cells) == 1
+        g.grid_distance(np.array([0.301, 0.202]))
+        assert len(g._index.cells) == 1
+
+
+def test_point_distance_rounded_into_the_next_cell():
+    # (1e7 + 0.01) / CELL rounds up to the index k of the cell above it, so
+    # the point (x, x) lies 1.3e-9 outside cell (k, k). Of two zero-length
+    # segments, P is the cell centre's nearest and Q, found by a search of
+    # nearby floats, lies just outside the cell's ball on the side of x, yet
+    # nearer to x than P: the cell's candidates miss it, the query sees its
+    # bound fail and measures the point's own candidates
+    x = 10000000.01
+    k = math.floor(x / geom.CELL)
+    c = (k + 0.5) * geom.CELL
+    assert c - x > geom.CELL / 2
+    P = np.array([c, c]) + 0.001 / math.sqrt(2)
+    Q = np.array([10000000.006792903, 10000000.006792882])
+    segs = polyline_segments([np.array([P, P]), np.array([Q, Q])])
+    index = SegmentIndex(segs)
+    d = index.point_distance([x, x])
+    ref = float(segments_distance(np.array([x, x]), segs))
+    assert np.float64(d).tobytes() == np.float64(ref).tobytes()
+    assert float(segments_distance((x, x), index.cells[(k, k)])) > ref
 
 
 # arcs forbid repeated points, so the zero-length case is an index over the
